@@ -10,6 +10,7 @@ and the canonical JSON file format.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
 
 from .errors import (
@@ -24,6 +25,7 @@ from .linalg import (
     GrowingSpan,
     Matrix,
     Subspace,
+    kernel,
     unit_vec,
     vec_add,
     vec_is_zero,
@@ -31,7 +33,10 @@ from .linalg import (
     zero_vec,
 )
 
-SIMPLE_SCAN_LIMIT = 10**7
+SIMPLE_SCAN_LIMIT = 10**7          # largest p^n that is_simple enumerates
+PROBABLE_SAMPLES = 40              # seeded vectors tried by probabilistic is_simple
+MEATAXE_LINE_BUDGET = 4096         # most kernel lines meataxe_simple will close
+SIMPLICITY_SEED = 0
 
 
 class LieAlgebra:
@@ -177,28 +182,20 @@ def subalgebra_closure(l: LieAlgebra, gens) -> Subspace:
 
 
 def ideal_closure(l: LieAlgebra, gens) -> Subspace:
-    """Smallest subspace containing ``gens`` with [L, result] inside it."""
+    """Smallest subspace containing ``gens`` with [L, result] inside it:
+    the closure of ``gens`` under every ad(b_i), as [b_i, u] = ad(b_i) u."""
     vecs = [l.check_vector(g) for g in gens]
-    span = GrowingSpan(l.field, l.dim)
-    pool = [v for v in vecs if span.insert(v)]
-    idx = 0
-    while idx < len(pool):
-        u = pool[idx]
-        for i in range(l.dim):
-            w = l.bracket(l.basis_vector(i), u)
-            if span.insert(w):
-                pool.append(w)
-        idx += 1
-    return span.to_subspace()
+    return GrowingSpan(l.field, l.dim)._close(_adjoints(l), vecs).to_subspace()
+
+
+def _adjoints(l: LieAlgebra) -> list:
+    """ad(b_i) for every basis vector, in index order."""
+    return [l.ad(l.basis_vector(i)) for i in range(l.dim)]
 
 
 def center(l: LieAlgebra) -> Subspace:
     """{v : [v, b_i] = 0 for all i}, the kernel of all adjoint actions."""
-    from .linalg import kernel
-
-    rows = []
-    for i in range(l.dim):
-        rows.extend(l.ad(l.basis_vector(i)).data)
+    rows = [row for m in _adjoints(l) for row in m.data]
     return kernel(Matrix.from_rows(l.field, rows))
 
 
@@ -224,71 +221,6 @@ def _projective_representatives(field: Field, n: int):
             yield tuple(v)
 
 
-def is_simple(l: LieAlgebra, mode: str = "certified", samples: int = 40, seed: int = 0) -> SimplicityVerdict:
-    """Simplicity test.
-
-    ``certified`` enumerates one generator per projective point (finite
-    fields with p^n <= 10^7 only) and is exact.  ``probabilistic`` tries all
-    basis vectors plus seeded random ones; a negative answer is still exact
-    (it comes with a witness ideal), a positive one is only "probable".
-    """
-    if mode not in ("certified", "probabilistic"):
-        raise DomainError(f"unknown simplicity mode {mode!r}")
-    full = Subspace.full(l.field, l.dim)
-    c = center(l)
-    if c.dim == l.dim:
-        return SimplicityVerdict(False, True, "abelian algebra", None)
-    if c.dim > 0:
-        return SimplicityVerdict(False, True, "nonzero center", c)
-    d = derived(l)
-    if d != full:
-        return SimplicityVerdict(False, True, "derived algebra is proper", d if d.dim else None)
-
-    if mode == "certified":
-        if l.field.p == 0:
-            raise CapabilityError("certified simplicity needs a finite field")
-        if l.field.p ** l.dim > SIMPLE_SCAN_LIMIT:
-            raise CapabilityError(
-                f"certified simplicity limited to p^n <= {SIMPLE_SCAN_LIMIT}")
-        candidates = _projective_representatives(l.field, l.dim)
-        certified = True
-    else:
-        import random
-
-        rng = random.Random(seed)
-        cand = [l.basis_vector(i) for i in range(l.dim)]
-        while len(cand) < l.dim + samples:
-            v = tuple(l.field.random(rng) for _ in range(l.dim))
-            if not vec_is_zero(v):
-                cand.append(v)
-        candidates = cand
-        certified = False
-
-    for v in candidates:
-        ideal = ideal_closure(l, [v])
-        if ideal != full:
-            return SimplicityVerdict(False, True, "proper ideal found", ideal)
-    detail = "every projective point generates" if certified else \
-        f"all basis vectors and {samples} seeded vectors generate"
-    return SimplicityVerdict(True, certified, detail, None)
-
-
-def _module_closure_rank(field, mats, start, ambient):
-    """Dimension of the smallest subspace containing ``start`` invariant
-    under all matrices, plus its span for witness extraction."""
-    span = GrowingSpan(field, ambient)
-    pool = [start] if span.insert(start) else []
-    idx = 0
-    while idx < len(pool) and span.dim < ambient:
-        u = pool[idx]
-        for m in mats:
-            w = m.apply(u)
-            if span.insert(w):
-                pool.append(w)
-        idx += 1
-    return span
-
-
 def _line_representatives(field, basis):
     """One vector per line of the span of the given independent rows."""
     for coeffs in _projective_representatives(field, len(basis)):
@@ -299,7 +231,70 @@ def _line_representatives(field, basis):
         yield v
 
 
-def meataxe_simple(l: LieAlgebra, seed: int = 0, line_budget: int = 4096) -> SimplicityVerdict:
+def _structural_verdict(l: LieAlgebra) -> "SimplicityVerdict | None":
+    """The exact negative verdicts read off the centre and the derived
+    algebra, or None when both leave simplicity open."""
+    c = center(l)
+    if c.dim == l.dim:
+        return SimplicityVerdict(False, True, "abelian algebra", None)
+    if c.dim > 0:
+        return SimplicityVerdict(False, True, "nonzero center", c)
+    d = derived(l)
+    if d.dim < l.dim:
+        return SimplicityVerdict(False, True, "derived algebra is proper", d)
+    return None
+
+
+def _first_proper_closure(l: LieAlgebra, mats, vectors) -> "Subspace | None":
+    """Closure under ``mats`` of the first of ``vectors`` whose closure is a
+    proper subspace of F^dim, or None when every one fills the space."""
+    for v in vectors:
+        span = GrowingSpan(l.field, l.dim)._close(mats, [v])
+        if span.dim < l.dim:
+            return span.to_subspace()
+    return None
+
+
+def is_simple(l: LieAlgebra, mode: str = "certified") -> SimplicityVerdict:
+    """Simplicity test, the exhaustive reference for :func:`meataxe_simple`.
+
+    ``certified`` enumerates one generator per projective point (finite
+    fields with p^n <= 10^7 only) and is exact.  ``probabilistic`` tries all
+    basis vectors plus seeded random ones; a negative answer is still exact
+    (it comes with a witness ideal), a positive one is only "probable".
+    """
+    if mode not in ("certified", "probabilistic"):
+        raise DomainError(f"unknown simplicity mode {mode!r}")
+    verdict = _structural_verdict(l)
+    if verdict is not None:
+        return verdict
+    f = l.field
+    if mode == "certified":
+        if f.p == 0:
+            raise CapabilityError(
+                "certified simplicity needs a finite field; rerun with assume_simple")
+        if f.p ** l.dim > SIMPLE_SCAN_LIMIT:
+            raise CapabilityError(
+                f"certified simplicity limited to p^n <= {SIMPLE_SCAN_LIMIT}; "
+                "rerun with assume_simple")
+        candidates = _projective_representatives(f, l.dim)
+    else:
+        rng = random.Random(SIMPLICITY_SEED)
+        candidates = [l.basis_vector(i) for i in range(l.dim)]
+        while len(candidates) < l.dim + PROBABLE_SAMPLES:
+            v = tuple(f.random(rng) for _ in range(l.dim))
+            if not vec_is_zero(v):
+                candidates.append(v)
+    ideal = _first_proper_closure(l, _adjoints(l), candidates)
+    if ideal is not None:
+        return SimplicityVerdict(False, True, "proper ideal found", ideal)
+    if mode == "certified":
+        return SimplicityVerdict(True, True, "every projective point generates", None)
+    return SimplicityVerdict(
+        True, False, f"all basis vectors and {PROBABLE_SAMPLES} seeded vectors generate", None)
+
+
+def meataxe_simple(l: LieAlgebra) -> SimplicityVerdict:
     """Exact simplicity certificate via invariant-subspace analysis.
 
     Ideals are exactly the submodules of the adjoint module.  For a singular
@@ -313,26 +308,14 @@ def meataxe_simple(l: LieAlgebra, seed: int = 0, line_budget: int = 4096) -> Sim
     :func:`is_simple`, and used by the classification pipeline; the two are
     cross-checked in the test suite.
     """
-    import random
-
-    from .linalg import kernel as _kernel
-
     if l.field.p == 0:
         raise CapabilityError("simplicity is only certified over finite fields")
-    full = Subspace.full(l.field, l.dim)
-    c = center(l)
-    if c.dim == l.dim:
-        return SimplicityVerdict(False, True, "abelian algebra", None)
-    if c.dim > 0:
-        return SimplicityVerdict(False, True, "nonzero center", c)
-    d = derived(l)
-    if d != full:
-        return SimplicityVerdict(False, True, "derived algebra is proper",
-                                 d if d.dim else None)
+    verdict = _structural_verdict(l)
+    if verdict is not None:
+        return verdict
 
     f = l.field
-    ads = [l.ad(l.basis_vector(i)) for i in range(l.dim)]
-    rng = random.Random(seed)
+    rng = random.Random(SIMPLICITY_SEED)
     candidates = [l.basis_vector(i) for i in range(l.dim)]
     for _ in range(24):
         candidates.append(tuple(f.random(rng) for _ in range(l.dim)))
@@ -345,8 +328,8 @@ def meataxe_simple(l: LieAlgebra, seed: int = 0, line_budget: int = 4096) -> Sim
         if vec_is_zero(x):
             continue
         theta = l.ad(x)
-        ker = _kernel(theta)
-        if ker.dim == 0 or lines_of(ker.dim) > line_budget:
+        ker = kernel(theta)
+        if ker.dim == 0 or lines_of(ker.dim) > MEATAXE_LINE_BUDGET:
             continue
         if best is None or ker.dim < best[1].dim:
             best = (theta, ker)
@@ -357,23 +340,19 @@ def meataxe_simple(l: LieAlgebra, seed: int = 0, line_budget: int = 4096) -> Sim
             "no singular operator with a small enough kernel was found; "
             "fall back to exhaustive or probabilistic checking")
     theta, ker = best
-    for v in _line_representatives(f, ker.basis):
-        span = _module_closure_rank(f, ads, v, l.dim)
-        if span.dim < l.dim:
-            witness = span.to_subspace()
-            return SimplicityVerdict(False, True, "proper ideal found", witness)
-    ads_t = [m.transpose() for m in ads]
-    ker_t = _kernel(theta.transpose())
-    for fvec in _line_representatives(f, ker_t.basis):
-        span = _module_closure_rank(f, ads_t, fvec, l.dim)
-        if span.dim < l.dim:
-            # The annihilator of the dual submodule is a proper nonzero ideal.
-            witness = _kernel(Matrix.from_rows(f, list(span.to_subspace().basis)))
-            return SimplicityVerdict(False, True, "proper ideal found", witness)
-    return SimplicityVerdict(
-        True, True,
-        f"kernel lines of a nullity-{ker.dim} operator generate the module and its dual",
-        None)
+    ads = _adjoints(l)
+    witness = _first_proper_closure(l, ads, _line_representatives(f, ker.basis))
+    if witness is None:
+        dual = _first_proper_closure(l, [m.transpose() for m in ads],
+                                     _line_representatives(f, kernel(theta.transpose()).basis))
+        if dual is None:
+            return SimplicityVerdict(
+                True, True,
+                f"kernel lines of a nullity-{ker.dim} operator generate the module and its dual",
+                None)
+        # The annihilator of the dual submodule is a proper nonzero ideal.
+        witness = kernel(Matrix.from_rows(f, dual.basis))
+    return SimplicityVerdict(False, True, "proper ideal found", witness)
 
 
 def complement_indices(s: Subspace):
@@ -545,6 +524,11 @@ def to_json(l: LieAlgebra) -> str:
     return json.dumps(to_json_dict(l), indent=2) + "\n"
 
 
+def _is_index(value) -> bool:
+    """A JSON integer; ``true``/``false`` load as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def from_json(text: str) -> LieAlgebra:
     try:
         doc = json.loads(text)
@@ -556,14 +540,14 @@ def from_json(text: str) -> LieAlgebra:
         if key not in doc:
             raise ParseError(f"missing key {key!r}")
     p = doc["characteristic"]
-    if not isinstance(p, int) or isinstance(p, bool):
+    if not _is_index(p):
         raise ParseError("characteristic must be an integer")
     try:
         field = Field(p)
     except DomainError as e:
         raise ParseError(str(e)) from None
     n = doc["dim"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_index(n) or n < 1:
         raise ParseError("dim must be a positive integer")
     basis = doc["basis"]
     if not isinstance(basis, list) or len(basis) != n or not all(isinstance(b, str) for b in basis):
@@ -575,7 +559,7 @@ def from_json(text: str) -> LieAlgebra:
         if not isinstance(entry, dict) or set(entry) != {"i", "j", "terms"}:
             raise ParseError('each bracket needs exactly the keys "i", "j", "terms"')
         i, j = entry["i"], entry["j"]
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (_is_index(i) and _is_index(j)):
             raise ParseError("bracket indices must be integers")
         if i >= j:
             raise ParseError(f"bracket pair ({i}, {j}) must have i < j")
@@ -588,7 +572,7 @@ def from_json(text: str) -> LieAlgebra:
         terms = []
         seen = set()
         for t in entry["terms"]:
-            if not (isinstance(t, list) and len(t) == 2 and isinstance(t[0], int)
+            if not (isinstance(t, list) and len(t) == 2 and _is_index(t[0])
                     and isinstance(t[1], str)):
                 raise ParseError(f'terms of ({i}, {j}) must be [index, "coeff"] pairs')
             k, coeff = t

@@ -18,6 +18,7 @@ from .algebra import (
 )
 from .errors import CapabilityError, ContradictionError, HypothesisError
 from .extremal import EXTREMAL, classify_element
+from .fields import Field
 from .linalg import Matrix, Subspace, solve, vec_add, vec_is_zero, vec_scale, vec_sub
 from .sl2 import (
     HGrading,
@@ -292,7 +293,8 @@ class ClassificationReport:
     closure_dim: int = 0
 
     def to_dict(self) -> dict:
-        l_fmt = lambda vec: format_vector_field(self._field, vec)
+        field = Field(self.field_characteristic)
+        l_fmt = lambda vec: format_vector(field, vec)
         doc = {
             "verdict": self.verdict,
             "hypotheses": {
@@ -327,29 +329,19 @@ class ClassificationReport:
             doc["certificates"] = [
                 {
                     "z": l_fmt(c.z),
-                    "alpha": self._field.format(c.alpha),
+                    "alpha": field.format(c.alpha),
                     "h1": l_fmt(c.h1),
                     "u": l_fmt(c.u),
                     "relations_checked": list(c.relations),
                     "span_vectors": [l_fmt(v) for v in c.b_vectors],
                     "span_dim": c.span_dim,
-                    "z_coords_in_xyu_closure": [self._field.format(co) for co in c.membership_coords],
+                    "z_coords_in_xyu_closure": [field.format(co) for co in c.membership_coords],
                 }
                 for c in self.certificates
             ]
             doc["generators"] = [l_fmt(g) for g in self.generators]
             doc["closure_dim"] = self.closure_dim
         return doc
-
-    @property
-    def _field(self):
-        from .fields import Field
-
-        return Field(self.field_characteristic)
-
-
-def format_vector_field(field, vec):
-    return [field.format(c) for c in vec]
 
 
 def minimize_generators(l: LieAlgebra, generators):
@@ -389,12 +381,7 @@ def classify_theorem_main(l: LieAlgebra, x, assume_simple: bool = False) -> Clas
         try:
             verdict = meataxe_simple(l)
         except CapabilityError:
-            try:
-                verdict = is_simple(l, "certified")
-            except CapabilityError:
-                raise CapabilityError(
-                    "simplicity is not decidable for this field; rerun with assume_simple"
-                ) from None
+            verdict = is_simple(l, "certified")
         if not verdict.simple:
             raise HypothesisError(f"the algebra is not simple ({verdict.detail})")
         simplicity_mode, simplicity_detail = "certified", verdict.detail

@@ -29,7 +29,6 @@ from .certscript import run_script
 from .classify import classify_theorem_main
 from .errors import (
     ContradictionError,
-    DomainError,
     HypothesisError,
     LieextError,
 )
@@ -83,8 +82,6 @@ def _parser() -> argparse.ArgumentParser:
     mode.add_argument("--exhaustive", action="store_true")
     e.add_argument("--representatives", action="store_true",
                    help="report one vector per scalar class in exhaustive mode")
-    e.add_argument("--threads", type=int, default=1, metavar="N",
-                   help="scan partitioning hint; the output never depends on it")
 
     s = sub.add_parser("sl2", help="build a verified sl2-triple from an extremal element")
     s.add_argument("file")
@@ -181,8 +178,6 @@ def _status_dict(l, status) -> dict:
 
 
 def _cmd_extremal(args) -> int:
-    if args.threads < 1:
-        raise DomainError("--threads must be at least 1")
     l, digest = _load_algebra(args.file)
     if args.vector is not None:
         x = parse_coords(l.field, args.vector, l.dim)

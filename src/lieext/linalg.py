@@ -251,6 +251,22 @@ class GrowingSpan:
                     v[i] = f.sub(v[i], f.mul(x, row[i]))
         return False
 
+    def _close(self, mats, vectors) -> "GrowingSpan":
+        """Grow to the smallest span holding ``vectors`` that every matrix in
+        ``mats`` maps into itself, stopping once it is the whole space.  Only
+        images of newly inserted vectors are taken, so the span must start
+        empty (or already invariant)."""
+        pool = [v for v in vectors if self.insert(v)]
+        idx = 0
+        while idx < len(pool) and self.dim < self.ambient:
+            u = pool[idx]
+            for m in mats:
+                w = m.apply(u)
+                if self.insert(w):
+                    pool.append(w)
+            idx += 1
+        return self
+
     def to_subspace(self) -> "Subspace":
         return Subspace.span(self.field, self.ambient, list(self.rows.values()))
 
@@ -357,7 +373,3 @@ class Subspace:
                     v = vec_add(f, v, vec_scale(f, c, row))
             vecs.append(v)
         return Subspace.span(f, self.ambient, vecs)
-
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        self._check(other)
-        return all(other.contains(v) for v in self.basis)

@@ -8,8 +8,9 @@ finds twenty extremal non-sandwich vectors in the Witt algebra over F5, the
 nonzero vectors of the plane spanned by z^2 Dz and z^4 Dz away from the
 z^4 Dz line, not four.  They form a single orbit of the z^2 Dz line under
 scalars and the automorphisms exp(ad of t*z^3 Dz), so the uniqueness claim
-holds only up to automorphisms, not up to scalar multiples.  See
-notes/decisions.md in the review materials for the full analysis.
+holds only up to automorphisms, not up to scalar multiples.  The
+criterion-2 paragraph of README.md ("Tests and the acceptance suite") states
+why the criterion is left red.
 """
 
 import random

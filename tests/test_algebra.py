@@ -317,12 +317,47 @@ def test_meataxe_on_larger_algebras():
 
 
 def test_meataxe_witness_is_a_proper_ideal(wittext5):
-    v = meataxe_simple(wittext5)
-    w = v.witness_ideal
-    assert 0 < w.dim < wittext5.dim
-    for i in range(wittext5.dim):
+    _assert_proper_ideal(wittext5, meataxe_simple(wittext5).witness_ideal)
+
+
+def _sl2_plus_sl2(p):
+    sl2 = builtin("sl2", p).table
+    table = dict(sl2)
+    table.update({(i + 3, j + 3): [(k + 3, c) for k, c in terms]
+                  for (i, j), terms in sl2.items()})
+    return LieAlgebra(Field(p), ("e", "f", "h", "e'", "f'", "h'"), table)
+
+
+def _sl2_on_natural_module(p):
+    # sl2 acting on F^2 = <v1, v2> by e v2 = v1, f v1 = v2, h v1 = v1, h v2 = -v2.
+    table = dict(builtin("sl2", p).table)
+    table.update({(0, 4): [(3, 1)], (1, 3): [(4, 1)], (2, 3): [(3, 1)], (2, 4): [(4, -1)]})
+    return LieAlgebra(Field(p), ("e", "f", "h", "v1", "v2"), table)
+
+
+def _assert_proper_ideal(l, w):
+    assert 0 < w.dim < l.dim
+    for i in range(l.dim):
         for row in w.basis:
-            assert w.contains(wittext5.bracket(wittext5.basis_vector(i), row))
+            assert w.contains(l.bracket(l.basis_vector(i), row))
+
+
+@pytest.mark.parametrize("make, p, ideal_dim", [
+    (_sl2_plus_sl2, 5, 3),              # a kernel line lies in a summand
+    (_sl2_on_natural_module, 5, 2),     # only a line of ker t^T finds the module
+    (_sl2_on_natural_module, 7, 2),
+])
+def test_meataxe_finds_ideals_past_the_prelude(make, p, ideal_dim):
+    l = make(p)
+    assert l.validate().ok
+    assert center(l).dim == 0 and derived(l).dim == l.dim
+    v = meataxe_simple(l)
+    assert not v.simple and v.certified and v.detail == "proper ideal found"
+    assert v.witness_ideal.dim == ideal_dim
+    _assert_proper_ideal(l, v.witness_ideal)
+    reference = is_simple(l, "certified")
+    assert not reference.simple
+    _assert_proper_ideal(l, reference.witness_ideal)
 
 
 # -- quotients ----------------------------------------------------------------
@@ -423,6 +458,11 @@ def test_json_rejects_malformed_documents(witt5):
     reject(lambda d: d.__setitem__("basis", ["a"]))
     reject(lambda d: d.pop("dim"))
     reject(lambda d: d["brackets"].append(dict(good["brackets"][0])))      # duplicate pair
+    # The first bracket is [b_0, b_1] = b_0; bools pass as ints, false == 0, true == 1.
+    assert good["brackets"][0] == {"i": 0, "j": 1, "terms": [[0, "1"]]}
+    reject(lambda d: d["brackets"][0].update(i=False))
+    reject(lambda d: d["brackets"][0].update(j=True))
+    reject(lambda d: d["brackets"][0]["terms"][0].__setitem__(0, False))
     with pytest.raises(ParseError):
         from_json("not json at all {")
 

@@ -91,6 +91,12 @@ def test_check_malformed_file(capsys, tmp_path):
     p.write_text("{not json")
     assert invoke(capsys, "check", str(p))[0] == 2
     assert invoke(capsys, "check", str(tmp_path / "absent.json"))[0] == 2
+    doc = json.loads(to_json(builtin("sl2", 5)))
+    doc["brackets"][0]["i"] = False          # a bool, although false == 0
+    p.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "check", str(p))
+    assert code == 2 and out == ""
+    assert "bracket indices must be integers" in err
 
 
 # -- extremal --------------------------------------------------------------------
@@ -127,11 +133,10 @@ def test_extremal_exhaustive(capsys, witt5_file):
     assert reps["counts"] == doc["counts"]
 
 
-def test_extremal_threads_flag_does_not_change_output(capsys, witt5_file):
-    _, base = out_json(capsys, "extremal", witt5_file, "--exhaustive")
-    _, threaded = out_json(capsys, "extremal", witt5_file, "--exhaustive", "--threads", "4")
-    assert base == threaded
-    assert invoke(capsys, "extremal", witt5_file, "--exhaustive", "--threads", "0")[0] == 2
+def test_extremal_rejects_threads_flag(capsys, witt5_file):
+    code, out, err = invoke(capsys, "extremal", witt5_file, "--exhaustive", "--threads", "4")
+    assert code == 2 and out == ""
+    assert "--threads" in err
 
 
 def test_extremal_usage_errors(capsys, witt5_file):
@@ -210,6 +215,15 @@ def test_classify_non_simple_without_flag(capsys, tmp_path):
     assert doc["verdict"] == "WittExceptional"
     assert doc["isomorphism"]["target"] == "W_tilde"
     assert doc["hypotheses"]["simplicity"]["mode"] == "assumed"
+
+
+def test_classify_over_rationals_needs_assume_simple(capsys, tmp_path):
+    path = tmp_path / "sl3q.json"
+    path.write_text(to_json(builtin("sl3", 0)))
+    code, out, err = invoke(capsys, "classify", str(path), "--x",
+                             ",".join(["1/1"] + ["0/1"] * 7))
+    assert code == 2 and out == ""
+    assert "rerun with assume_simple" in err
 
 
 def test_classify_not_extremal_exit(capsys, witt5_file):
