@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import chain, product
 
 from .errors import (
     CapabilityError,
@@ -28,8 +29,8 @@ from .linalg import (
     kernel,
     unit_vec,
     vec_add,
+    vec_combine,
     vec_is_zero,
-    vec_scale,
     zero_vec,
 )
 
@@ -119,7 +120,7 @@ class LieAlgebra:
         """Matrix of ad_x = [x, .] with columns [x, b_j]."""
         x = self.check_vector(x)
         cols = [self.bracket(x, self.basis_vector(j)) for j in range(self.dim)]
-        return Matrix.from_columns(self.field, cols)
+        return Matrix(self.field, self.dim, self.dim, tuple(zip(*cols)))
 
     def validate(self) -> "ValidationReport":
         """Exhaustive Jacobi check over all basis triples i < j < k."""
@@ -195,8 +196,8 @@ def _adjoints(l: LieAlgebra) -> list:
 
 def center(l: LieAlgebra) -> Subspace:
     """{v : [v, b_i] = 0 for all i}, the kernel of all adjoint actions."""
-    rows = [row for m in _adjoints(l) for row in m.data]
-    return kernel(Matrix.from_rows(l.field, rows))
+    rows = tuple(row for m in _adjoints(l) for row in m.data)
+    return kernel(Matrix(l.field, len(rows), l.dim, rows))
 
 
 def derived(l: LieAlgebra) -> Subspace:
@@ -207,28 +208,20 @@ def derived(l: LieAlgebra) -> Subspace:
 
 
 def _projective_representatives(field: Field, n: int):
-    """One vector per projective point: first nonzero coordinate equals 1."""
-    p = field.p
+    """One vector per projective point: first nonzero coordinate equals 1.
+
+    For each leading position the coordinates after it run with the nearest
+    one fastest."""
     for lead in range(n):
-        tail = n - lead - 1
-        for code in range(p**tail):
-            v = [field.zero] * n
-            v[lead] = field.one
-            rest = code
-            for t in range(tail):
-                rest, digit = divmod(rest, p)
-                v[lead + 1 + t] = field.of(digit)
-            yield tuple(v)
+        head = (field.zero,) * lead + (field.one,)
+        for tail in product(field.elements(), repeat=n - lead - 1):
+            yield head + tail[::-1]
 
 
 def _line_representatives(field, basis):
     """One vector per line of the span of the given independent rows."""
     for coeffs in _projective_representatives(field, len(basis)):
-        v = zero_vec(field, len(basis[0]))
-        for c, row in zip(coeffs, basis):
-            if c:
-                v = vec_add(field, v, vec_scale(field, c, row))
-        yield v
+        yield vec_combine(field, coeffs, basis)
 
 
 def _structural_verdict(l: LieAlgebra) -> "SimplicityVerdict | None":
@@ -315,19 +308,16 @@ def meataxe_simple(l: LieAlgebra) -> SimplicityVerdict:
         return verdict
 
     f = l.field
+    ads = _adjoints(l)
     rng = random.Random(SIMPLICITY_SEED)
-    candidates = [l.basis_vector(i) for i in range(l.dim)]
-    for _ in range(24):
-        candidates.append(tuple(f.random(rng) for _ in range(l.dim)))
+    samples = [tuple(f.random(rng) for _ in range(l.dim)) for _ in range(24)]
+    thetas = chain(ads, (l.ad(x) for x in samples if not vec_is_zero(x)))
 
     def lines_of(nullity):
         return (f.p**nullity - 1) // (f.p - 1)
 
     best = None
-    for x in candidates:
-        if vec_is_zero(x):
-            continue
-        theta = l.ad(x)
+    for theta in thetas:
         ker = kernel(theta)
         if ker.dim == 0 or lines_of(ker.dim) > MEATAXE_LINE_BUDGET:
             continue
@@ -340,7 +330,6 @@ def meataxe_simple(l: LieAlgebra) -> SimplicityVerdict:
             "no singular operator with a small enough kernel was found; "
             "fall back to exhaustive or probabilistic checking")
     theta, ker = best
-    ads = _adjoints(l)
     witness = _first_proper_closure(l, ads, _line_representatives(f, ker.basis))
     if witness is None:
         dual = _first_proper_closure(l, [m.transpose() for m in ads],

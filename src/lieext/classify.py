@@ -17,9 +17,10 @@ from .algebra import (
     subalgebra_closure,
 )
 from .errors import CapabilityError, ContradictionError, HypothesisError
-from .extremal import EXTREMAL, classify_element
+from .extremal import EXTREMAL, classify_element, require_extremal
 from .fields import Field
-from .linalg import Matrix, Subspace, solve, vec_add, vec_is_zero, vec_scale, vec_sub
+from .linalg import (Matrix, Subspace, solve, vec_add, vec_combine, vec_is_zero, vec_ratio,
+                     vec_scale, vec_sub)
 from .sl2 import (
     HGrading,
     Sl2Triple,
@@ -120,13 +121,9 @@ def extremal_from_L1(l: LieAlgebra, t: Sl2Triple, g: HGrading, z) -> ExtremalGen
         fail("rel10")
     if l.bracket(y, l.bracket(x, a3)) != a3:
         fail("rel11")
-    if vec_is_zero(a4):
-        alpha = f.zero
-    else:
-        lead = next(i for i, c in enumerate(y) if c)
-        alpha = f.div(a4[lead], y[lead])
-        if a4 != vec_scale(f, alpha, y):
-            fail("rel12")
+    alpha = vec_ratio(f, a4, y)
+    if alpha is None:
+        fail("rel12")
 
     h1 = l.bracket(xz, z)
     b_minus = l.bracket(l.bracket(h1, z), x)
@@ -254,10 +251,7 @@ def witt_recognize(l: LieAlgebra, t: Sl2Triple, v, simple=None) -> WittIsoReport
             coeffs = solve(basis_matrix, w)
             if coeffs is None:
                 raise HypothesisError("bracket of spanning vectors left their span")
-            phi_w = model.zero()
-            for c, img in zip(coeffs, images):
-                if c:
-                    phi_w = vec_add(mf, phi_w, vec_scale(mf, c, img))
+            phi_w = vec_combine(mf, coeffs, images)
             if phi_w != model.bracket(images[a], images[b]):
                 raise HypothesisError(
                     f"basis map does not preserve the bracket on pair ({a}, {b})")
@@ -370,9 +364,7 @@ def classify_theorem_main(l: LieAlgebra, x, assume_simple: bool = False) -> Clas
     """
     require_good_characteristic(l)
     x = l.check_vector(x)
-    status = classify_element(l, x)
-    if status.kind != EXTREMAL:
-        raise HypothesisError(f"x must be extremal and not a sandwich (got {status.kind})")
+    status = require_extremal(l, x)
 
     if assume_simple:
         simplicity_mode, simplicity_detail = "assumed", "simplicity assumed by caller"

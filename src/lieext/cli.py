@@ -32,7 +32,7 @@ from .errors import (
     HypothesisError,
     LieextError,
 )
-from .extremal import EXTREMAL, classify_element, exhaustive_scan, scan_basis
+from .extremal import EXTREMAL, classify_element, exhaustive_scan, require_extremal, scan_basis
 from .sl2 import find_witness, h_grading, make_triple, complete_sl2
 
 EXIT_OK = 0
@@ -212,9 +212,7 @@ def _cmd_extremal(args) -> int:
 def _cmd_sl2(args) -> int:
     l, digest = _load_algebra(args.file)
     x = parse_coords(l.field, args.x, l.dim)
-    status = classify_element(l, x)
-    if status.kind != EXTREMAL:
-        raise HypothesisError(f"x must be extremal and not a sandwich (got {status.kind})")
+    status = require_extremal(l, x)
     w = find_witness(l, x, status.functional)
     triple, cert = complete_sl2(l, x, w)
     fmt = lambda v: format_vector(l.field, v)

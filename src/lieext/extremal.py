@@ -9,10 +9,11 @@ a single coordinate cannot produce a false positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .algebra import LieAlgebra
-from .errors import CapabilityError, DomainError
-from .linalg import vec_is_zero
+from .errors import CapabilityError, DomainError, HypothesisError
+from .linalg import vec_is_zero, vec_ratio
 
 EXHAUSTIVE_LIMIT = 10**7
 
@@ -33,24 +34,28 @@ class ExtremalStatus:
 
 
 def classify_element(l: LieAlgebra, x) -> ExtremalStatus:
-    """Decide whether x is extremal, and if so recover its functional."""
+    """Decide whether x is extremal, and if so recover its functional.
+    Column j of ad(x) is [x, b_j], so ad(x) maps it to [x, [x, b_j]]."""
     x = l.check_vector(x)
     if vec_is_zero(x):
         raise DomainError("the zero vector has no extremal functional")
-    f = l.field
     a = l.ad(x)
-    a2 = a.mul(a)
-    lead = next(i for i, c in enumerate(x) if c)
-    inv_lead = f.inv(x[lead])
     functional = []
-    for j in range(l.dim):
-        w = tuple(a2.data[i][j] for i in range(l.dim))
-        c = f.mul(w[lead], inv_lead)
-        if any(wi != f.mul(c, xi) for wi, xi in zip(w, x)):
+    for column in zip(*a.data):
+        c = vec_ratio(l.field, a.apply(column), x)
+        if c is None:
             return ExtremalStatus(x, NOT_EXTREMAL, None)
         functional.append(c)
     kind = SANDWICH if all(not c for c in functional) else EXTREMAL
     return ExtremalStatus(x, kind, tuple(functional))
+
+
+def require_extremal(l: LieAlgebra, x) -> ExtremalStatus:
+    """:func:`classify_element`, refusing x unless it is extremal and not a sandwich."""
+    status = classify_element(l, x)
+    if status.kind != EXTREMAL:
+        raise HypothesisError(f"x must be extremal and not a sandwich (got {status.kind})")
+    return status
 
 
 def apply_functional(f_vec, v, field):
@@ -90,12 +95,9 @@ def exhaustive_scan(l: LieAlgebra, representatives_only: bool = False) -> ScanRe
     extremal = []
     sandwich = []
     counts = {NOT_EXTREMAL: 0, SANDWICH: 0, EXTREMAL: 0}
-    for code in range(1, total):
-        v = [0] * l.dim
-        rest = code
-        for i in range(l.dim - 1, -1, -1):
-            rest, v[i] = divmod(rest, p)
-        v = tuple(f.of(c) for c in v)
+    vectors = product(f.elements(), repeat=l.dim)
+    next(vectors)  # the zero vector
+    for v in vectors:
         status = classify_element(l, v)
         counts[status.kind] += 1
         if status.kind == NOT_EXTREMAL:

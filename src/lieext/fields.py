@@ -4,6 +4,9 @@ Scalars are plain Python values: a residue ``int`` in ``[0, p)`` over GF(p),
 a ``fractions.Fraction`` over the rationals.  Both representations are
 canonical, so two scalars are equal iff they compare equal.  All arithmetic
 goes through a :class:`Field` instance, which owns the characteristic.
+
+Outside numbers come in only through :meth:`Field.of` and :meth:`Field.parse`;
+the arithmetic takes field elements as they are.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ class Field:
     def inv(self, a):
         if not a:
             raise DomainError("division by zero")
-        return pow(a, self.p - 2, self.p) if self.p else 1 / a
+        return pow(a, self.p - 2, self.p) if self.p else 1 / Fraction(a)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -12,8 +12,10 @@ reduction terminate.
 
 from __future__ import annotations
 
-from .errors import DomainError, ParseError
+from .errors import CapabilityError, DomainError, ParseError
 from .fields import Field
+
+SPAN_WORD_LIMIT = 10**5    # most irreducible words span_closure will list
 
 class FreeAlgebra:
     """Context object: an ordered alphabet over a coefficient field."""
@@ -251,21 +253,22 @@ def verify_reduction(combination: FreePoly, expected: FreePoly, rules):
 
 
 def span_closure(algebra: FreeAlgebra, rules, max_degree: int):
-    """All words up to ``max_degree`` in normal form (no rule applies)."""
-    from .errors import CapabilityError
-
+    """All words up to ``max_degree`` in normal form (no rule applies), by
+    degree, then in alphabet order.  Only irreducible words are extended, so
+    a new word is reducible exactly when a left-hand side ends it.  More than
+    ``SPAN_WORD_LIMIT`` words raise :class:`CapabilityError`."""
     if max_degree > 12:
         raise CapabilityError("word enumeration is limited to degree 12")
     out = [()]
     level = [()]
     for _ in range(max_degree):
-        nxt = []
-        for w in level:
-            for s in algebra.alphabet:
-                nxt.append(w + (s,))
-        level = nxt
+        level = [v for v in (w + (s,) for w in level for s in algebra.alphabet)
+                 if not any(v[-len(r.lhs):] == r.lhs for r in rules)]
         out.extend(level)
-    return [w for w in out if _first_match(w, rules) is None]
+        if len(out) > SPAN_WORD_LIMIT:
+            raise CapabilityError(
+                f"more than {SPAN_WORD_LIMIT} irreducible words up to degree {max_degree}")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,11 @@ Everything here is deliberately small: the algebras this package targets
 have dimension well under a hundred, so plain Gaussian elimination with
 deterministic pivoting (first nonzero entry in column order) is enough and
 keeps echelon forms canonical.  All values are immutable after construction.
+
+Scalars are canonicalized at the boundary only: the public builders
+``Matrix.from_rows``, ``Matrix.from_columns`` and ``Subspace.span`` take
+anything :meth:`Field.of` takes; everything else, the ``Matrix`` constructor
+included, takes field elements as they are.
 """
 
 from __future__ import annotations
@@ -20,6 +25,22 @@ def vec_sub(field: Field, u, v):
 def vec_scale(field: Field, c, u):
     return tuple(field.mul(c, a) for a in u)
 
+def vec_combine(field: Field, coeffs, rows):
+    """The linear combination sum c_i * rows[i]; ``rows`` must be nonempty."""
+    acc = [field.zero] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            for i, a in enumerate(row):
+                if a:
+                    acc[i] = field.add(acc[i], field.mul(c, a))
+    return tuple(acc)
+
+def vec_ratio(field: Field, w, x):
+    """The scalar c with w = c * x for a nonzero x, or None if there is none."""
+    lead = next(i for i, a in enumerate(x) if a)
+    c = field.div(w[lead], x[lead])
+    return c if w == vec_scale(field, c, x) else None
+
 def vec_is_zero(u) -> bool:
     return all(not a for a in u)
 
@@ -31,12 +52,12 @@ def unit_vec(field: Field, n, i):
 
 
 class Matrix:
-    """Immutable dense matrix; ``data`` is a tuple of row tuples."""
+    """Immutable dense matrix; ``data`` is a tuple of row tuples of field
+    elements, which the constructor takes as they are."""
 
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field: Field, rows: int, cols: int, data):
-        data = tuple(tuple(field.of(x) for x in row) for row in data)
         if len(data) != rows or any(len(r) != cols for r in data):
             raise ShapeError(f"expected {rows}x{cols} data")
         self.field = field
@@ -46,7 +67,7 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, field: Field, data) -> "Matrix":
-        data = tuple(tuple(row) for row in data)
+        data = tuple(tuple(field.of(x) for x in row) for row in data)
         cols = len(data[0]) if data else 0
         return cls(field, len(data), cols, data)
 
@@ -60,7 +81,7 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, field: Field, columns) -> "Matrix":
-        columns = tuple(tuple(c) for c in columns)
+        columns = tuple(tuple(field.of(x) for x in c) for c in columns)
         rows = len(columns[0]) if columns else 0
         return cls(field, rows, len(columns), tuple(tuple(c[i] for c in columns) for i in range(rows)))
 
@@ -290,7 +311,7 @@ class Subspace:
                 raise ShapeError(f"vector of length {len(v)} in ambient dimension {ambient}")
         if not vectors:
             return cls(field, ambient, (), ())
-        ech, rank, pivots = rref(Matrix.from_rows(field, vectors))
+        ech, rank, pivots = rref(Matrix(field, len(vectors), ambient, tuple(vectors)))
         return cls(field, ambient, ech.data[:rank], pivots)
 
     @classmethod
@@ -357,19 +378,9 @@ class Subspace:
             return Subspace.zero(self.field, self.ambient)
         # Null space of [U^T | -V^T] yields coefficient pairs with aU = bV.
         f = self.field
-        cols = []
-        for row in self.basis:
-            cols.append(row)
-        for row in other.basis:
-            cols.append(vec_scale(f, f.neg(f.one), row))
+        cols = list(self.basis) + [vec_scale(f, f.neg(f.one), row) for row in other.basis]
         stacked = Matrix.from_columns(f, cols)
         pairs = kernel(stacked)
         k = len(self.basis)
-        vecs = []
-        for coeff in pairs.basis:
-            v = zero_vec(f, self.ambient)
-            for c, row in zip(coeff[:k], self.basis):
-                if c:
-                    v = vec_add(f, v, vec_scale(f, c, row))
-            vecs.append(v)
+        vecs = [vec_combine(f, coeff[:k], self.basis) for coeff in pairs.basis]
         return Subspace.span(f, self.ambient, vecs)

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 from .algebra import LieAlgebra, quotient_action
 from .errors import CapabilityError, ContradictionError, HypothesisError, InvarianceError
-from .extremal import EXTREMAL, classify_element
-from .linalg import Matrix, Subspace, eigenspace, kernel, solve, vec_add, vec_is_zero, vec_scale, vec_sub
+from .extremal import EXTREMAL, apply_functional, classify_element
+from .linalg import (Matrix, Subspace, eigenspace, kernel, solve, vec_add, vec_combine,
+                     vec_is_zero, vec_scale, vec_sub)
 
 LABELS = (-2, -1, 0, 1, 2)
 
@@ -98,7 +99,7 @@ def complete_sl2(l: LieAlgebra, x, w):
     status = classify_element(l, x)
     if not status.is_extremal:
         raise HypothesisError("x is not extremal")
-    if l.bracket(x, l.bracket(x, w)) != vec_scale(f, f.of(-2), x):
+    if apply_functional(status.functional, w, f) != f.of(-2):
         raise HypothesisError("witness does not satisfy f_x(w) = -2")
     h = l.bracket(x, w)
     x1 = vec_sub(f, l.bracket(w, h), vec_scale(f, f.of(2), w))
@@ -114,10 +115,7 @@ def complete_sl2(l: LieAlgebra, x, w):
     sol = solve(m, coords)
     if sol is None:
         raise HypothesisError("(ad_h + 2) is singular on the centralizer of x")
-    w1 = l.zero()
-    for a, row in zip(sol, c.basis):
-        if a:
-            w1 = vec_add(f, w1, vec_scale(f, a, row))
+    w1 = vec_combine(f, sol, c.basis)
     y = vec_add(f, w, w1)
     if not triple_relations_hold(l, x, y, h):
         raise HypothesisError("constructed pair violates the sl2 relations")
@@ -222,10 +220,7 @@ def dichotomy(l: LieAlgebra, t: Sl2Triple, g: HGrading) -> DichotomyResult:
         sol = solve(a, t.x)
         if sol is None:
             raise ContradictionError("x escaped the column space it was just seen in")
-        v = l.zero()
-        for c, b in zip(sol, lm1.basis):
-            if c:
-                v = vec_add(f, v, vec_scale(f, c, b))
+        v = vec_combine(f, sol, lm1.basis)
         if l.bracket(t.y, l.bracket(t.y, v)) != tuple(t.x):
             raise ContradictionError("solver returned a non-solution")
         return DichotomyResult("exceptional", v, {})

@@ -285,6 +285,17 @@ def test_cert_explicit_characteristic(capsys, tmp_path):
     assert invoke(capsys, "cert", str(script), "-p", "3")[0] == 2
 
 
+def test_cert_span_over_word_budget_exits_two(capsys, tmp_path):
+    letters = "ABCDEFGH"
+    script = tmp_path / "wide.cert"
+    script.write_text(f"symbols {' '.join(letters)}\n"
+                      + "".join(f"rule {s}^2 -> 0\n" for s in letters)
+                      + "assert span(12) == 1\n")
+    code, out, err = invoke(capsys, "cert", str(script))
+    assert code == 2 and out == ""
+    assert "irreducible words" in err
+
+
 def test_cert_missing_script(capsys):
     assert invoke(capsys, "cert", "no_such_script.cert")[0] == 2
 

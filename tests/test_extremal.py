@@ -8,13 +8,14 @@ from lieext import (
     EXTREMAL,
     NOT_EXTREMAL,
     SANDWICH,
+    LieAlgebra,
     builtin,
     classify_element,
     exhaustive_scan,
     scan_basis,
 )
 from lieext.extremal import apply_functional
-from lieext.linalg import vec_is_zero, vec_scale
+from lieext.linalg import Matrix, rref, solve, vec_is_zero, vec_scale
 
 from conftest import rand_vec
 
@@ -78,6 +79,56 @@ def test_functional_consistency_on_random_vectors(witt5, rng):
         m = rand_vec(f, 5, rng)
         lhs = witt5.bracket(x, witt5.bracket(x, m))
         assert lhs == vec_scale(f, apply_functional(st.functional, m, f), x)
+
+
+def _on_random_basis(l, rng):
+    """``l`` on the basis g b_i for a random invertible g, with the old basis
+    vectors in the new coordinates; the structure constants come out dense."""
+    f = l.field
+    while True:
+        cols = [rand_vec(f, l.dim, rng) for _ in range(l.dim)]
+        g = Matrix.from_columns(f, cols)
+        if rref(g)[1] == l.dim:
+            break
+    table = {}
+    for i in range(l.dim):
+        for j in range(i + 1, l.dim):
+            coords = solve(g, l.bracket(cols[i], cols[j]))
+            table[(i, j)] = [(k, c) for k, c in enumerate(coords) if c]
+    old_basis = [solve(g, l.basis_vector(i)) for i in range(l.dim)]
+    return LieAlgebra(f, l.names, table), old_basis
+
+
+def _two_bracket_oracle(l, x):
+    """Kind and functional of x from [x, [x, b_j]], two brackets per column."""
+    f = l.field
+    lead = next(i for i, c in enumerate(x) if c)
+    functional = []
+    for j in range(l.dim):
+        w = l.bracket(x, l.bracket(x, l.basis_vector(j)))
+        c = f.div(w[lead], x[lead])
+        if w != vec_scale(f, c, x):
+            return NOT_EXTREMAL, None
+        functional.append(c)
+    return (EXTREMAL if any(functional) else SANDWICH), tuple(functional)
+
+
+@pytest.mark.parametrize("name, kinds", [
+    ("witt5", {NOT_EXTREMAL, EXTREMAL, SANDWICH}),
+    ("sl2", {NOT_EXTREMAL, EXTREMAL}),
+    ("sl3", {NOT_EXTREMAL, EXTREMAL}),
+])
+def test_kernel_matches_bracket_oracle_on_a_random_basis(name, kinds, rng):
+    l, old_basis = _on_random_basis(builtin(name, 5), rng)
+    vectors = old_basis + [rand_vec(l.field, l.dim, rng) for _ in range(200)]
+    seen = set()
+    for x in vectors:
+        if vec_is_zero(x):
+            continue
+        st = classify_element(l, x)
+        assert (st.kind, st.functional) == _two_bracket_oracle(l, x)
+        seen.add(st.kind)
+    assert seen == kinds
 
 
 def test_sandwich_iff_squared_adjoint_vanishes(rng):
@@ -175,14 +226,18 @@ def test_exhaustive_scan_representatives_flag(witt5):
 
 
 def test_exhaustive_scan_sl2():
-    l = builtin("sl2", 5)
-    scan = exhaustive_scan(l)
-    assert scan.counts[EXTREMAL] % 4 == 0
-    assert scan.counts[EXTREMAL] == 24  # cone over the 6 points of P^1(F5)
-    assert scan.counts[SANDWICH] == 0
-    exts = set(scan.extremal)
-    assert l.basis_vector(0) in exts and l.basis_vector(1) in exts
-    assert l.basis_vector(2) not in exts
+    # Point-count oracle (Cohen-Steinbach-Ushirobira-Wales): the extremal
+    # points of sl2 over F_q are the q + 1 lines of rank-one nilpotents, a
+    # cone of q^2 - 1 vectors, and there are no sandwiches.
+    for q in (5, 7, 11):
+        l = builtin("sl2", q)
+        scan = exhaustive_scan(l)
+        assert scan.counts[EXTREMAL] == len(scan.extremal) == q * q - 1
+        assert scan.counts[SANDWICH] == 0
+        assert len(exhaustive_scan(l, representatives_only=True).extremal) == q + 1
+        exts = set(scan.extremal)
+        assert l.basis_vector(0) in exts and l.basis_vector(1) in exts
+        assert l.basis_vector(2) not in exts
 
 
 def test_exhaustive_scan_heisenberg():

@@ -35,6 +35,12 @@ def test_division_by_zero_raises(gf5, qq):
         qq.inv(qq.zero)
 
 
+def test_rational_inverse_is_exact(qq):
+    for value in (qq.inv(3), qq.div(1, 3)):
+        assert value == Fraction(1, 3)
+        assert isinstance(value, Fraction)
+
+
 def test_small_integers_vanish_in_their_characteristic(gf5):
     # the guard for the exponential coefficients: 1/24 exists away from 2, 3
     assert gf5.of(24) == 4

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from lieext import (
@@ -269,3 +271,39 @@ def test_span_closure_with_annihilating_rule():
 def test_span_closure_degree_cap(xy):
     with pytest.raises(CapabilityError):
         span_closure(xy, [], 13)
+
+
+def _square_free_rules(algebra):
+    return [RewriteRule(algebra, (s, s), algebra.zero()) for s in algebra.alphabet]
+
+
+def _pair_rules(algebra):
+    return _square_free_rules(algebra) + [
+        RewriteRule(algebra, ("X", "Y", "X"), algebra.symbol("X")),
+        RewriteRule(algebra, ("Y", "X", "Y"), algebra.symbol("Y")),
+    ]
+
+
+@pytest.mark.parametrize("alphabet, make_rules, degree", [
+    (("X", "Y"), _square_free_rules, 6),
+    (("X", "Y", "Z"), _square_free_rules, 6),
+    (("X", "Y"), _pair_rules, 7),
+    (("X", "Y"), lambda a: [RewriteRule(a, ("Y", "X"), a.word(("X", "Y")))], 6),
+])
+def test_span_closure_matches_brute_force_enumeration(alphabet, make_rules, degree):
+    a = FreeAlgebra(Field(0), alphabet)
+    rules = make_rules(a)
+
+    def irreducible(w):
+        return not any(w[i:i + len(r.lhs)] == r.lhs for r in rules for i in range(len(w)))
+
+    brute = [w for k in range(degree + 1) for w in product(alphabet, repeat=k) if irreducible(w)]
+    assert span_closure(a, rules, degree) == brute
+
+
+def test_span_closure_word_budget():
+    a = FreeAlgebra(Field(0), tuple("ABCDEFGH"))
+    with pytest.raises(CapabilityError):
+        span_closure(a, _square_free_rules(a), 12)  # 8*7^11 words at degree 12 alone
+    three = FreeAlgebra(Field(0), ("X", "Y", "Z"))
+    assert len(span_closure(three, _square_free_rules(three), 12)) == 1 + 3 * (2**12 - 1)
