@@ -521,7 +521,7 @@ def _is_index(value) -> bool:
 def from_json(text: str) -> LieAlgebra:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also too deep, or too many digits
         raise ParseError(f"invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ParseError("algebra file must be a JSON object")

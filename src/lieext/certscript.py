@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import CapabilityError, DomainError, ParseError
-from .fields import Field, is_prime
+from .fields import Field, _natural
 from .freepoly import FreeAlgebra, RewriteRule, reduce_poly, span_closure, _format_word
 
 _RE_SYMBOLS = re.compile(r"^symbols\s+(.+)$")
@@ -87,22 +87,20 @@ def _parse_guard(line: str, no: int):
     if body:
         for chunk in body.split(","):
             chunk = chunk.strip()
-            if not chunk.isdigit():
+            value = _natural(chunk)
+            if value is None:
                 raise ParseError(f"bad characteristic {chunk!r} in guard", line=no)
-            values.add(int(chunk))
+            values.add(value)
     return negated, values
 
 
 def _choose_characteristic(guards, requested):
     def admissible(c):
-        if c != 0 and (c < 2 or not is_prime(c)):
+        try:
+            Field(c)
+        except DomainError:
             return False
-        for negated, values in guards:
-            if negated and c in values:
-                return False
-            if not negated and c not in values:
-                return False
-        return True
+        return all((c in values) != negated for negated, values in guards)
 
     if requested is not None:
         if not admissible(requested):
@@ -191,19 +189,21 @@ def run_script(text: str, characteristic=None) -> CertResult:
                     if c != field.one:
                         raise ParseError("span expectation must be a sum of bare words", line=no)
                 got = span_closure(algebra, rules, degree)
-                ok = sorted(got, key=algebra.word_key) == \
-                    sorted(expected.terms, key=algebra.word_key)
-                shown = " ".join(_format_word(w) or "1" for w in got)
-                missing = [w for w in expected.terms if w not in got]
+                got_set = set(got)
+                missing = [w for w in expected.terms if w not in got_set]
                 extra = [w for w in got if w not in expected.terms]
+                ok = not missing and not extra
                 residual = "" if ok else (
-                    "missing: " + " ".join(_format_word(w) or "1" for w in missing)
-                    + "; extra: " + " ".join(_format_word(w) or "1" for w in extra))
-                assertions.append(CertAssertion(no, "span", ok, shown, residual))
+                    f"missing: {_format_words(missing)}; extra: {_format_words(extra)}")
+                assertions.append(CertAssertion(no, "span", ok, _format_words(got), residual))
                 continue
             raise ParseError("malformed assert line", line=no)
         raise ParseError(f"unrecognized statement {line.split()[0]!r}", line=no)
     return CertResult(char, symbols, tuple(assertions), tuple(rule_texts))
+
+
+def _format_words(words) -> str:
+    return " ".join(_format_word(w) or "1" for w in words)
 
 
 def _parse_expr(algebra, text, bindings, line_no):

@@ -299,12 +299,8 @@ class ClassificationReport:
                 "x_kind": EXTREMAL,
                 "witness": l_fmt(self.witness),
             },
-            "triple": {
-                "x": l_fmt(self.triple.x),
-                "y": l_fmt(self.triple.y),
-                "h": l_fmt(self.triple.h),
-            },
-            "grading_dims": {str(i): self.grading.components[i].dim for i in (-2, -1, 0, 1, 2)},
+            "triple": self.triple.formatted(field),
+            "grading_dims": {str(i): d for i, d in self.grading.dims().items()},
             "integer_graded": self.grading.z_graded,
             "quadratic_on_quotient": self.quadratic_on_quotient,
             "note": self.note,

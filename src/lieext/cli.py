@@ -6,8 +6,9 @@ standard output (diagnostics go to standard error).  Reports carry the tool
 version and a content hash of the input for reproducibility.
 
 Exit codes: 0 success; 1 the checked property fails (not extremal, failed
-assertion, broken hypothesis); 2 usage, file or capability errors;
-3 contradiction (the input data is provably corrupt).
+assertion, broken hypothesis); 2 usage, file, input or capability errors;
+3 contradiction (the input data is provably corrupt); 4 internal error (a
+defect in lieext itself, reported with the exception's type).
 """
 
 from __future__ import annotations
@@ -31,14 +32,16 @@ from .errors import (
     ContradictionError,
     HypothesisError,
     LieextError,
+    ParseError,
 )
 from .extremal import EXTREMAL, classify_element, exhaustive_scan, require_extremal, scan_basis
-from .sl2 import find_witness, h_grading, make_triple, complete_sl2
+from .sl2 import LABELS, find_witness, h_grading, make_triple, complete_sl2
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
 EXIT_USAGE = 2
 EXIT_CONTRADICTION = 3
+EXIT_INTERNAL = 4
 
 
 def _read_input(path: str) -> bytes:
@@ -48,9 +51,16 @@ def _read_input(path: str) -> bytes:
         return fh.read()
 
 
+def _decode(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"input is not UTF-8: {e}") from None
+
+
 def _load_algebra(path: str):
     data = _read_input(path)
-    return from_json(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
+    return from_json(_decode(data)), hashlib.sha256(data).hexdigest()
 
 
 def _emit(doc: dict, digest: str) -> None:
@@ -67,14 +77,17 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("check", help="validate an algebra file (Jacobi identity)")
+    c.set_defaults(func=_cmd_check)
     c.add_argument("file", help="algebra file, or - for standard input")
 
     b = sub.add_parser("builtin", help="write a builtin algebra file to standard output")
+    b.set_defaults(func=_cmd_builtin)
     b.add_argument("name", help="sl2, sl3, sl4, witt5, wittext5 or heisenberg")
     b.add_argument("-p", type=int, required=True, metavar="CHAR",
                    help="characteristic (0 for the rationals)")
 
     e = sub.add_parser("extremal", help="extremality tests")
+    e.set_defaults(func=_cmd_extremal)
     e.add_argument("file")
     mode = e.add_mutually_exclusive_group(required=True)
     mode.add_argument("--vector", help="comma-separated canonical coordinates")
@@ -84,21 +97,25 @@ def _parser() -> argparse.ArgumentParser:
                    help="report one vector per scalar class in exhaustive mode")
 
     s = sub.add_parser("sl2", help="build a verified sl2-triple from an extremal element")
+    s.set_defaults(func=_cmd_sl2)
     s.add_argument("file")
     s.add_argument("--x", required=True, help="comma-separated canonical coordinates")
 
     g = sub.add_parser("grade", help="grading by the bracket of an sl2 pair")
+    g.set_defaults(func=_cmd_grade)
     g.add_argument("file")
     g.add_argument("--x", required=True)
     g.add_argument("--y", required=True)
 
     k = sub.add_parser("classify", help="run the full classification pipeline")
+    k.set_defaults(func=_cmd_classify)
     k.add_argument("file")
     k.add_argument("--x", required=True)
     k.add_argument("--assume-simple", action="store_true",
                    help="skip the simplicity check and stamp the report accordingly")
 
     t = sub.add_parser("cert", help="run a certificate script")
+    t.set_defaults(func=_cmd_cert)
     t.add_argument("script", help="script path; bare names resolve to the shipped scripts")
     t.add_argument("-p", type=int, default=None, metavar="CHAR",
                    help="characteristic to verify under (default: chosen from the guards)")
@@ -111,7 +128,7 @@ def run(argv) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
-        return _dispatch(args)
+        return args.func(args)
     except ContradictionError as e:
         print(f"contradiction: {e}", file=sys.stderr)
         return EXIT_CONTRADICTION
@@ -124,24 +141,9 @@ def run(argv) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def _dispatch(args) -> int:
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "builtin":
-        return _cmd_builtin(args)
-    if args.command == "extremal":
-        return _cmd_extremal(args)
-    if args.command == "sl2":
-        return _cmd_sl2(args)
-    if args.command == "grade":
-        return _cmd_grade(args)
-    if args.command == "classify":
-        return _cmd_classify(args)
-    if args.command == "cert":
-        return _cmd_cert(args)
-    raise AssertionError(f"unhandled command {args.command}")
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _cmd_check(args) -> int:
@@ -158,13 +160,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_builtin(args) -> int:
-    l = builtin(args.name, args.p)
-    if args.name in ("sl3", "sl4") and args.p != 0:
-        n = 3 if args.name == "sl3" else 4
-        if n % args.p == 0:
-            print(f"note: sl{n} is not simple when the characteristic divides {n}",
-                  file=sys.stderr)
-    sys.stdout.write(to_json(l))
+    sys.stdout.write(to_json(builtin(args.name, args.p)))
     return EXIT_OK
 
 
@@ -221,7 +217,7 @@ def _cmd_sl2(args) -> int:
         "x": fmt(x),
         "kind": status.kind,
         "witness": fmt(w),
-        "triple": {"x": fmt(triple.x), "y": fmt(triple.y), "h": fmt(triple.h)},
+        "triple": triple.formatted(l.field),
         "completion": {"w": fmt(cert.w), "x1": fmt(cert.x1), "w1": fmt(cert.w1)},
     }, digest)
     return EXIT_OK
@@ -236,12 +232,11 @@ def _cmd_grade(args) -> int:
     fmt = lambda v: format_vector(l.field, v)
     _emit({
         "command": "grade",
-        "triple": {"x": fmt(triple.x), "y": fmt(triple.y), "h": fmt(triple.h)},
-        "grading_dims": {str(i): grading.components[i].dim for i in (-2, -1, 0, 1, 2)},
+        "triple": triple.formatted(l.field),
+        "grading_dims": {str(i): d for i, d in grading.dims().items()},
         "integer_graded": grading.z_graded,
         "components": {
-            str(i): [fmt(row) for row in grading.components[i].basis]
-            for i in (-2, -1, 0, 1, 2)
+            str(i): [fmt(row) for row in grading.components[i].basis] for i in LABELS
         },
     }, digest)
     return EXIT_OK
@@ -264,7 +259,7 @@ def _cmd_cert(args) -> int:
         if shipped is None:
             raise
         data = shipped
-    result = run_script(data.decode("utf-8"), characteristic=args.p)
+    result = run_script(_decode(data), characteristic=args.p)
     doc = {"command": "cert", "script": path}
     doc.update(result.to_dict())
     _emit(doc, hashlib.sha256(data).hexdigest())

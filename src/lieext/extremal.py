@@ -13,7 +13,7 @@ from itertools import product
 
 from .algebra import LieAlgebra
 from .errors import CapabilityError, DomainError, HypothesisError
-from .linalg import vec_is_zero, vec_ratio
+from .linalg import _dot, vec_is_zero, vec_ratio
 
 EXHAUSTIVE_LIMIT = 10**7
 
@@ -59,11 +59,7 @@ def require_extremal(l: LieAlgebra, x) -> ExtremalStatus:
 
 
 def apply_functional(f_vec, v, field):
-    acc = field.zero
-    for c, vi in zip(f_vec, v):
-        if c and vi:
-            acc = field.add(acc, field.mul(c, vi))
-    return acc
+    return _dot(field, f_vec, v)
 
 
 def scan_basis(l: LieAlgebra) -> list:

@@ -19,6 +19,19 @@ from .errors import DomainError, FieldMismatch, ParseError
 _P_LIMIT = 2**31
 
 
+def _natural(text: str):
+    """``text`` as a nonnegative integer written in ASCII digits, else None.
+
+    ``str.isdigit`` also accepts digits such as "²" that ``int`` refuses, and
+    ``int`` refuses more than ``sys.get_int_max_str_digits()`` digits."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -41,10 +54,10 @@ class Field:
 
     def __init__(self, characteristic: int):
         if characteristic != 0:
-            if not is_prime(characteristic):
-                raise DomainError(f"characteristic must be 0 or prime, got {characteristic}")
             if characteristic >= _P_LIMIT:
                 raise DomainError(f"prime characteristic must be < 2^31, got {characteristic}")
+            if not is_prime(characteristic):
+                raise DomainError(f"characteristic must be 0 or prime, got {characteristic}")
         self.p = characteristic
 
     @property
@@ -121,9 +134,9 @@ class Field:
     def parse(self, text: str):
         text = text.strip()
         if self.p:
-            if not text.isdigit():
+            v = _natural(text)
+            if v is None:
                 raise ParseError(f"expected residue in [0, {self.p}), got {text!r}")
-            v = int(text)
             if v >= self.p:
                 raise ParseError(f"non-canonical residue {text!r} for GF({self.p})")
             return v
@@ -131,9 +144,9 @@ class Field:
         neg = head.startswith("-")
         if neg:
             head = head[1:]
-        if not sep or not head.isdigit() or not tail.isdigit():
+        num, den = _natural(head), _natural(tail)
+        if not sep or num is None or den is None:
             raise ParseError(f'expected rational "a/b", got {text!r}')
-        num, den = int(head), int(tail)
         if den == 0:
             raise ParseError(f"zero denominator in {text!r}")
         if gcd(num, den) != 1 or (num == 0 and (den != 1 or neg)):

@@ -12,10 +12,16 @@ reduction terminate.
 
 from __future__ import annotations
 
+import re
+from itertools import chain
+
 from .errors import CapabilityError, DomainError, ParseError
 from .fields import Field
 
 SPAN_WORD_LIMIT = 10**5    # most irreducible words span_closure will list
+EXPONENT_LIMIT = 64        # largest exponent of a power
+PRODUCT_LIMIT = 10**6      # most terms plus letters one product may write
+DEPTH_LIMIT = 100          # deepest nesting of parentheses in an expression
 
 class FreeAlgebra:
     """Context object: an ordered alphabet over a coefficient field."""
@@ -82,12 +88,7 @@ class FreePoly:
         return self.algebra.const(other)
 
     def __add__(self, other):
-        other = self._lift(other)
-        f = self.algebra.field
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = f.add(out.get(w, f.zero), c)
-        return FreePoly(self.algebra, out)
+        return _collect(self.algebra, chain(self.terms.items(), self._lift(other).terms.items()))
 
     __radd__ = __add__
 
@@ -103,13 +104,15 @@ class FreePoly:
 
     def __mul__(self, other):
         other = self._lift(other)
-        f = self.algebra.field
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                out[w] = f.add(out.get(w, f.zero), f.mul(c1, c2))
-        return FreePoly(self.algebra, out)
+        n, m = len(self.terms), len(other.terms)
+        # one unit per term of the expansion, plus one per letter it writes
+        if m * sum(len(w) + 1 for w in self.terms) + n * sum(map(len, other.terms)) > PRODUCT_LIMIT:
+            raise CapabilityError(f"a product of {n} by {m} terms is over the limit of "
+                                  f"{PRODUCT_LIMIT} terms plus letters")
+        mul = self.algebra.field.mul
+        return _collect(self.algebra, ((w1 + w2, mul(c1, c2))
+                                       for w1, c1 in self.terms.items()
+                                       for w2, c2 in other.terms.items()))
 
     def __rmul__(self, other):
         return self._lift(other) * self
@@ -117,15 +120,12 @@ class FreePoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise DomainError("powers must be nonnegative integers")
+        if n > EXPONENT_LIMIT:
+            raise CapabilityError(f"exponent {n} is over the limit of {EXPONENT_LIMIT}")
         acc = self.algebra.one()
         for _ in range(n):
             acc = acc * self
         return acc
-
-    def scale(self, c) -> "FreePoly":
-        f = self.algebra.field
-        c = f.of(c)
-        return FreePoly(self.algebra, {w: f.mul(c, x) for w, x in self.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, FreePoly):
@@ -163,6 +163,20 @@ class FreePoly:
         return " ".join(parts)
 
     __repr__ = __str__
+
+
+def _collect(algebra: FreeAlgebra, pairs) -> FreePoly:
+    """Sum (word, coefficient) pairs into one polynomial.  A word whose sum
+    reaches zero is dropped at once, so if it comes back it comes last."""
+    add = algebra.field.add
+    out = {}
+    for w, c in pairs:
+        c = add(out[w], c) if w in out else c
+        if c:
+            out[w] = c
+        else:
+            out.pop(w, None)
+    return FreePoly(algebra, out)
 
 
 def _format_word(w) -> str:
@@ -222,25 +236,18 @@ def reduce_poly(p: FreePoly, rules) -> FreePoly:
     for r in rules:
         if r.algebra != p.algebra:
             raise DomainError("rules live in a different free algebra")
-    f = p.algebra.field
-    out = {}
-    stack = list(p.terms.items())
+    mul = p.algebra.field.mul
+    stack, normal = list(p.terms.items()), []
     while stack:
         word, coeff = stack.pop()
         hit = _first_match(word, rules)
         if hit is None:
-            acc = f.add(out.get(word, f.zero), coeff)
-            if acc:
-                out[word] = acc
-            elif word in out:
-                del out[word]
+            normal.append((word, coeff))
             continue
         pos, rule = hit
-        tail = word[pos + len(rule.lhs):]
-        head = word[:pos]
-        for w2, c2 in rule.rhs.terms.items():
-            stack.append((head + w2 + tail, f.mul(coeff, c2)))
-    return FreePoly(p.algebra, out)
+        head, tail = word[:pos], word[pos + len(rule.lhs):]
+        stack.extend((head + w2 + tail, mul(coeff, c2)) for w2, c2 in rule.rhs.terms.items())
+    return _collect(p.algebra, normal)
 
 
 def verify_reduction(combination: FreePoly, expected: FreePoly, rules):
@@ -275,7 +282,9 @@ def span_closure(algebra: FreeAlgebra, rules, max_degree: int):
 # expression parser
 # ---------------------------------------------------------------------------
 
-_OPS = set("+-*^()")
+# fraction | integer | word | operator | any other character, between
+# whitespace.  A word must start with a letter, not with a numeric like "²".
+_TOKEN = re.compile(r"(\d+)/(\d+)|(\d+)|([^\W\d_]\w*)|([-+*^()])|(\S)")
 
 
 class _Parser:
@@ -283,45 +292,28 @@ class _Parser:
         self.algebra = algebra
         self.text = text
         self.bindings = bindings
-        self.pos = 0
         self.tokens = self._tokenize()
         self.cursor = 0
+        self.depth = 0
 
     def _tokenize(self):
         tokens = []
-        i, text = 0, self.text
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in _OPS:
-                tokens.append((ch, ch, i))
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                if j < len(text) and text[j] == "/" and j + 1 < len(text) and text[j + 1].isdigit():
-                    k = j + 1
-                    while k < len(text) and text[k].isdigit():
-                        k += 1
-                    tokens.append(("frac", (int(text[i:j]), int(text[j + 1:k])), i))
-                    i = k
-                else:
-                    tokens.append(("int", int(text[i:j]), i))
-                    i = j
-                continue
-            if ch.isalpha():
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                tokens.append(("word", text[i:j], i))
-                i = j
-                continue
-            raise ParseError(f"unexpected character {ch!r}", position=i)
-        tokens.append(("end", None, len(text)))
+        for m in _TOKEN.finditer(self.text):
+            num, den, integer, word, op, _ = m.groups()
+            i = m.start()
+            if word and word[0].isalpha():
+                tokens.append(("word", word, i))
+            elif op:
+                tokens.append((op, op, i))
+            elif num or integer:
+                try:
+                    value = (int(num), int(den)) if num else int(integer)
+                except ValueError:  # more digits than int() converts
+                    raise ParseError("number has too many digits", position=i) from None
+                tokens.append(("frac" if num else "int", value, i))
+            else:
+                raise ParseError(f"unexpected character {self.text[i]!r}", position=i)
+        tokens.append(("end", None, len(self.text)))
         return tokens
 
     def _peek(self):
@@ -340,18 +332,15 @@ class _Parser:
         return poly
 
     def _expr(self) -> FreePoly:
-        negate = False
-        if self._peek()[0] == "-":
-            self._next()
-            negate = True
-        acc = self._term()
-        if negate:
-            acc = -acc
-        while self._peek()[0] in ("+", "-"):
-            op = self._next()[0]
+        """A flat sum: every summand is gathered, then added up once."""
+        summands = []
+        sign = self._next()[0] if self._peek()[0] == "-" else "+"
+        while True:
             term = self._term()
-            acc = acc + term if op == "+" else acc - term
-        return acc
+            summands.append(term.terms.items() if sign == "+" else (-term).terms.items())
+            if self._peek()[0] not in ("+", "-"):
+                return _collect(self.algebra, chain.from_iterable(summands))
+            sign = self._next()[0]
 
     def _term(self) -> FreePoly:
         acc = self._factor()
@@ -387,7 +376,11 @@ class _Parser:
                 raise ParseError(f"denominator {den} vanishes in this field", position=pos)
             return self.algebra.const(f.div(f.of(num), den_val))
         if kind == "(":
+            if self.depth == DEPTH_LIMIT:
+                raise ParseError(f"parentheses nested deeper than {DEPTH_LIMIT}", position=pos)
+            self.depth += 1
             inner = self._expr()
+            self.depth -= 1
             k, _, p2 = self._next()
             if k != ")":
                 raise ParseError("expected ')'", position=p2)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LieAlgebra, quotient_action
+from .algebra import LieAlgebra, format_vector, quotient_action
 from .errors import CapabilityError, ContradictionError, HypothesisError, InvarianceError
 from .extremal import EXTREMAL, apply_functional, classify_element
 from .linalg import (Matrix, Subspace, eigenspace, kernel, solve, vec_add, vec_combine,
@@ -31,6 +31,11 @@ class Sl2Triple:
     x: tuple
     y: tuple
     h: tuple
+
+    def formatted(self, field) -> dict:
+        """The members as canonical coordinate strings, for reports."""
+        return {"x": format_vector(field, self.x), "y": format_vector(field, self.y),
+                "h": format_vector(field, self.h)}
 
 
 @dataclass(frozen=True)

@@ -131,3 +131,46 @@ def test_rules_in_report():
     assert d["passed"] is True
     assert d["characteristic"] == 0
     assert [a["kind"] for a in d["assertions"]][-1] == "span"
+
+
+def _alternating_words(alphabet, degree):
+    words, level = [()], [()]
+    for _ in range(degree):
+        level = [w + (s,) for w in level for s in alphabet if not w or w[-1] != s]
+        words += level
+    return words
+
+
+def test_flat_span_expectation_matches_let_built_one():
+    """span(9) over {X, Y, Z} under s^2 -> 0: the 1,534 alternating words,
+    once as one flat sum and once built level by level with let bindings."""
+    alphabet, degree = "XYZ", 9
+    header = ["symbols X Y Z"] + [f"rule {s}^2 -> 0" for s in alphabet]
+    lets = [f"let A1{s} = {s}" for s in alphabet]
+    for k in range(2, degree + 1):
+        for s in alphabet:
+            prev = " + ".join(f"A{k - 1}{t}" for t in alphabet if t != s)
+            lets.append(f"let A{k}{s} = ({prev})*{s}")
+    total = " + ".join(f"A{k}{s}" for k in range(1, degree + 1) for s in alphabet)
+    let_built = "\n".join(header + lets + [f"assert span({degree}) == 1 + {total}"])
+    words = _alternating_words(alphabet, degree)
+    assert len(words) == 1534
+    flat_sum = " + ".join("*".join(w) or "1" for w in words)
+    # comment lines put the assertion on the same line number in both scripts
+    flat = "\n".join(header + ["#"] * len(lets) + [f"assert span({degree}) == {flat_sum}"])
+    result = run_script(flat)
+    assert result.passed
+    assert result == run_script(let_built)
+
+
+def test_span_residual_order():
+    """Missing words come in expectation order, extra words in span order."""
+    text = (
+        "symbols X Y\n"
+        "rule X^2 -> 0\nrule Y^2 -> 0\nrule X*Y*X -> X\nrule Y*X*Y -> Y\n"
+        "assert span(6) == Y*X + Y*Y*X + 1 + X*X + X\n"
+    )
+    (a,) = run_script(text).assertions
+    assert not a.ok
+    assert a.value == "1 X Y X*Y Y*X"
+    assert a.residual == "missing: Y^2*X X^2; extra: Y X*Y"

@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 
@@ -58,7 +59,7 @@ def test_builtin_warns_when_characteristic_divides_n(capsys):
     code, _, err = invoke(capsys, "builtin", "sl3", "-p", "0")
     assert code == 0 and err == ""
     # no prime dividing 3 or 4 is admissible here (2 and 3 are refused), so
-    # the warning path stays silent for the shipped builtins
+    # the CLI has no such note to print and stderr stays empty
     code, _, err = invoke(capsys, "builtin", "sl4", "-p", "5")
     assert code == 0 and err == ""
 
@@ -315,3 +316,85 @@ def test_reports_carry_version_and_hash(capsys, witt5_file):
     from lieext import __version__
 
     assert doc["tool_version"] == __version__
+
+
+# -- bounded work at the input boundary --------------------------------------------
+
+BIG_PRIME = 10**18 + 3
+
+
+def _cert(tmp_path, body):
+    path = tmp_path / "in.cert"
+    path.write_text(body)
+    return str(path)
+
+
+def _algebra(tmp_path, data):
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    return str(path)
+
+
+def _superscript_coefficient():
+    doc = json.loads(to_json(builtin("witt5", 5)))
+    doc["brackets"][0]["terms"][0][1] = "²"
+    return json.dumps(doc).encode()
+
+
+def _wide_square():
+    """A sum of all 1024 words of length 10 over X, Y, squared."""
+    words = ("".join(w) for w in itertools.product("XY", repeat=10))
+    return "symbols X Y\nassert reduce((" + " + ".join(words) + ")^2) == 0\n"
+
+
+BOUNDARY_CASES = {
+    "cert nested 3000 deep": (lambda t: ["cert", _cert(
+        t, "symbols X\nassert reduce(" + "(" * 3000 + "X" + ")" * 3000 + ") == X\n")],
+        "nested deeper than 100"),
+    "cert exponent 10^8": (lambda t: ["cert", _cert(
+        t, "symbols X\nassert reduce(X^100000000) == 0\n")], "exponent 100000000"),
+    "cert product over the limit": (lambda t: ["cert", _cert(t, _wide_square())],
+                                    "a product of 1024 by 1024 terms"),
+    "cert superscript coefficient": (lambda t: ["cert", _cert(
+        t, "symbols X\nassert reduce(²*X) == X\n")], "unexpected character"),
+    "cert superscript guard": (lambda t: ["cert", _cert(
+        t, "symbols X\nchar in {²}\nassert reduce(X) == X\n")], "bad characteristic"),
+    "cert huge guard": (lambda t: ["cert", _cert(
+        t, f"symbols X\nchar in {{{BIG_PRIME}}}\nassert reduce(X) == X\n")],
+        "no admissible characteristic"),
+    "cert huge -p": (lambda t: ["cert", "lemma22.cert", "-p", str(BIG_PRIME)], "not admissible"),
+    "cert invalid UTF-8": (lambda t: ["cert", _algebra(t, b"symbols X\xff\n")], "not UTF-8"),
+    "check invalid UTF-8": (lambda t: ["check", _algebra(t, b"\xff\xfe{}")], "not UTF-8"),
+    "check JSON nested 200000 deep": (lambda t: ["check", _algebra(
+        t, b"[" * 200000 + b"]" * 200000)], "invalid JSON"),
+    "check huge integer": (lambda t: ["check", _algebra(t, b"1" * 5000)], "invalid JSON"),
+    "check huge characteristic": (lambda t: ["check", _algebra(t, json.dumps(
+        {"characteristic": BIG_PRIME, "dim": 1, "basis": ["a"], "brackets": []}).encode())],
+        "must be < 2^31"),
+    "check superscript coefficient": (lambda t: ["check", _algebra(
+        t, _superscript_coefficient())], "expected residue"),
+    "builtin huge characteristic": (lambda t: ["builtin", "sl2", "-p", str(BIG_PRIME)],
+                                    "must be < 2^31"),
+    "extremal superscript vector": (lambda t: [
+        "extremal", _algebra(t, to_json(builtin("witt5", 5)).encode()),
+        "--vector", "²,0,0,0,0"], "expected residue"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
+def test_boundary_inputs_exit_two_without_traceback(capsys, tmp_path, case):
+    make_argv, phrase = BOUNDARY_CASES[case]
+    code, out, err = invoke(capsys, *make_argv(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and phrase in err
+    assert "Traceback" not in err
+
+
+def test_internal_error_exits_four(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("simulated defect")
+
+    monkeypatch.setattr("lieext.cli.run_script", broken)
+    code, out, err = invoke(capsys, "cert", "lemma22.cert")
+    assert code == 4 and out == ""
+    assert err == "internal error: ZeroDivisionError: simulated defect\n"

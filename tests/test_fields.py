@@ -56,6 +56,8 @@ def test_characteristic_must_be_prime_or_zero():
             Field(bad)
     with pytest.raises(DomainError):
         Field(2**31 + 11)
+    with pytest.raises(DomainError, match="2\\^31"):  # bound first: no trial division
+        Field(10**18 + 3)
     assert Field(2147483629).p == 2147483629  # largest prime under 2^31 works
 
 
@@ -67,7 +69,8 @@ def test_field_mismatch_detection(gf5, gf7):
 
 def test_strict_parse_gf(gf5):
     assert gf5.parse("4") == 4
-    for bad in ("5", "-1", "7", "a", "1/2", ""):
+    # ASCII digits only: "²".isdigit() holds but int("²") fails
+    for bad in ("5", "-1", "7", "a", "1/2", "", "²", "٣", "1²"):
         with pytest.raises(ParseError):
             gf5.parse(bad)
 
@@ -75,7 +78,8 @@ def test_strict_parse_gf(gf5):
 def test_strict_parse_rationals(qq):
     assert qq.parse("-3/2") == Fraction(-3, 2)
     assert qq.parse("0/1") == 0
-    for bad in ("3", "2/4", "0/3", "1/0", "1/-2", "-0/1", "x/y"):
+    for bad in ("3", "2/4", "0/3", "1/0", "1/-2", "-0/1", "x/y", "²/1", "1/²", "-٣/1",
+                "1" * 5000 + "/1"):  # the last has more digits than int() converts
         with pytest.raises(ParseError):
             qq.parse(bad)
 

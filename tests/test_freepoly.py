@@ -13,6 +13,7 @@ from lieext import (
     span_closure,
     verify_reduction,
 )
+from lieext.freepoly import DEPTH_LIMIT, EXPONENT_LIMIT
 
 
 @pytest.fixture
@@ -307,3 +308,40 @@ def test_span_closure_word_budget():
         span_closure(a, _square_free_rules(a), 12)  # 8*7^11 words at degree 12 alone
     three = FreeAlgebra(Field(0), ("X", "Y", "Z"))
     assert len(span_closure(three, _square_free_rules(three), 12)) == 1 + 3 * (2**12 - 1)
+
+
+def test_tokenizer_rejects_numeric_characters_that_are_not_digits(xy):
+    for text, position in (("²*X", 0), ("X + 1²", 5), ("1/²", 1), ("X*½", 2)):
+        with pytest.raises(ParseError) as err:
+            xy.parse(text)
+        assert err.value.position == position
+        assert "unexpected character" in str(err.value)
+    assert xy.parse("٣*X") == xy.parse("3*X")  # a Unicode decimal digit reads as before
+    with pytest.raises(ParseError, match="too many digits"):
+        xy.parse("1" * 5000 + "*X")
+
+
+def test_parser_depth_limit(xy):
+    deepest = "(" * DEPTH_LIMIT + "X" + ")" * DEPTH_LIMIT
+    assert xy.parse(deepest) == xy.symbol("X")
+    with pytest.raises(ParseError, match="nested deeper") as err:
+        xy.parse("(" + deepest + ")")
+    assert err.value.position == DEPTH_LIMIT
+
+
+def test_exponent_and_product_limits(xy):
+    assert xy.parse(f"X^{EXPONENT_LIMIT}") == xy.word("X" * EXPONENT_LIMIT)
+    with pytest.raises(CapabilityError, match="exponent"):
+        xy.parse(f"X^{EXPONENT_LIMIT + 1}")
+    wide = xy.parse(" + ".join("".join(w) for w in product("XY", repeat=10)))
+    assert len((wide * xy.symbol("X")).terms) == 1024
+    with pytest.raises(CapabilityError, match="product of 1024 by 1024 terms"):
+        wide * wide
+
+
+def test_flat_sum_keeps_the_order_of_pairwise_addition(xy):
+    # a word that cancels and comes back is last, as with one + at a time
+    p = xy.parse("X + Y - X + X*Y + X")
+    assert list(p.terms) == [("Y",), ("X", "Y"), ("X",)]
+    assert list((xy.symbol("X") + xy.symbol("Y") - xy.symbol("X") + xy.parse("X*Y")
+                 + xy.symbol("X")).terms) == list(p.terms)
