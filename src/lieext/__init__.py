@@ -69,7 +69,6 @@ from .classify import (
     classify_theorem_main,
     exp_ad,
     extremal_from_L1,
-    minimize_generators,
     witt_recognize,
 )
 from .freepoly import (
@@ -78,7 +77,6 @@ from .freepoly import (
     RewriteRule,
     reduce_poly,
     span_closure,
-    verify_reduction,
 )
 from .certscript import CertResult, run_script
 

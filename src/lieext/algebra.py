@@ -35,7 +35,6 @@ from .linalg import (
 )
 
 SIMPLE_SCAN_LIMIT = 10**7          # largest p^n that is_simple enumerates
-PROBABLE_SAMPLES = 40              # seeded vectors tried by probabilistic is_simple
 MEATAXE_LINE_BUDGET = 4096         # most kernel lines meataxe_simple will close
 SIMPLICITY_SEED = 0
 
@@ -151,16 +150,12 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class SimplicityVerdict:
+    """An exact simplicity answer; a negative one names a proper ideal
+    unless the algebra is abelian."""
+
     simple: bool
-    certified: bool
     detail: str
     witness_ideal: "Subspace | None" = None
-
-    @property
-    def label(self) -> str:
-        if not self.simple:
-            return "not simple"
-        return "simple" if self.certified else "probably simple"
 
 
 def subalgebra_closure(l: LieAlgebra, gens) -> Subspace:
@@ -229,12 +224,12 @@ def _structural_verdict(l: LieAlgebra) -> "SimplicityVerdict | None":
     algebra, or None when both leave simplicity open."""
     c = center(l)
     if c.dim == l.dim:
-        return SimplicityVerdict(False, True, "abelian algebra", None)
+        return SimplicityVerdict(False, "abelian algebra", None)
     if c.dim > 0:
-        return SimplicityVerdict(False, True, "nonzero center", c)
+        return SimplicityVerdict(False, "nonzero center", c)
     d = derived(l)
     if d.dim < l.dim:
-        return SimplicityVerdict(False, True, "derived algebra is proper", d)
+        return SimplicityVerdict(False, "derived algebra is proper", d)
     return None
 
 
@@ -248,43 +243,25 @@ def _first_proper_closure(l: LieAlgebra, mats, vectors) -> "Subspace | None":
     return None
 
 
-def is_simple(l: LieAlgebra, mode: str = "certified") -> SimplicityVerdict:
-    """Simplicity test, the exhaustive reference for :func:`meataxe_simple`.
-
-    ``certified`` enumerates one generator per projective point (finite
-    fields with p^n <= 10^7 only) and is exact.  ``probabilistic`` tries all
-    basis vectors plus seeded random ones; a negative answer is still exact
-    (it comes with a witness ideal), a positive one is only "probable".
-    """
-    if mode not in ("certified", "probabilistic"):
-        raise DomainError(f"unknown simplicity mode {mode!r}")
+def is_simple(l: LieAlgebra) -> SimplicityVerdict:
+    """Exact simplicity test by enumeration, the reference for
+    :func:`meataxe_simple`: one generator per projective point, over finite
+    fields with p^n <= 10^7 only."""
     verdict = _structural_verdict(l)
     if verdict is not None:
         return verdict
     f = l.field
-    if mode == "certified":
-        if f.p == 0:
-            raise CapabilityError(
-                "certified simplicity needs a finite field; rerun with assume_simple")
-        if f.p ** l.dim > SIMPLE_SCAN_LIMIT:
-            raise CapabilityError(
-                f"certified simplicity limited to p^n <= {SIMPLE_SCAN_LIMIT}; "
-                "rerun with assume_simple")
-        candidates = _projective_representatives(f, l.dim)
-    else:
-        rng = random.Random(SIMPLICITY_SEED)
-        candidates = [l.basis_vector(i) for i in range(l.dim)]
-        while len(candidates) < l.dim + PROBABLE_SAMPLES:
-            v = tuple(f.random(rng) for _ in range(l.dim))
-            if not vec_is_zero(v):
-                candidates.append(v)
-    ideal = _first_proper_closure(l, _adjoints(l), candidates)
+    if f.p == 0:
+        raise CapabilityError(
+            "certified simplicity needs a finite field; rerun with assume_simple")
+    if f.p ** l.dim > SIMPLE_SCAN_LIMIT:
+        raise CapabilityError(
+            f"certified simplicity limited to p^n <= {SIMPLE_SCAN_LIMIT}; "
+            "rerun with assume_simple")
+    ideal = _first_proper_closure(l, _adjoints(l), _projective_representatives(f, l.dim))
     if ideal is not None:
-        return SimplicityVerdict(False, True, "proper ideal found", ideal)
-    if mode == "certified":
-        return SimplicityVerdict(True, True, "every projective point generates", None)
-    return SimplicityVerdict(
-        True, False, f"all basis vectors and {PROBABLE_SAMPLES} seeded vectors generate", None)
+        return SimplicityVerdict(False, "proper ideal found", ideal)
+    return SimplicityVerdict(True, "every projective point generates", None)
 
 
 def meataxe_simple(l: LieAlgebra) -> SimplicityVerdict:
@@ -328,7 +305,7 @@ def meataxe_simple(l: LieAlgebra) -> SimplicityVerdict:
     if best is None:
         raise CapabilityError(
             "no singular operator with a small enough kernel was found; "
-            "fall back to exhaustive or probabilistic checking")
+            "fall back to exhaustive checking")
     theta, ker = best
     witness = _first_proper_closure(l, ads, _line_representatives(f, ker.basis))
     if witness is None:
@@ -336,12 +313,12 @@ def meataxe_simple(l: LieAlgebra) -> SimplicityVerdict:
                                      _line_representatives(f, kernel(theta.transpose()).basis))
         if dual is None:
             return SimplicityVerdict(
-                True, True,
+                True,
                 f"kernel lines of a nullity-{ker.dim} operator generate the module and its dual",
                 None)
         # The annihilator of the dual submodule is a proper nonzero ideal.
         witness = kernel(Matrix.from_rows(f, dual.basis))
-    return SimplicityVerdict(False, True, "proper ideal found", witness)
+    return SimplicityVerdict(False, "proper ideal found", witness)
 
 
 def complement_indices(s: Subspace):
@@ -371,28 +348,21 @@ def quotient_action(l: LieAlgebra, s: Subspace, actors) -> list:
         for j in comp:
             r = s.reduce(l.bracket(a, l.basis_vector(j)))
             cols.append(tuple(r[c] for c in comp))
-        if comp:
-            out.append(Matrix.from_columns(l.field, cols))
-        else:
-            out.append(Matrix.zeros(l.field, 0, 0))
+        out.append(Matrix.from_columns(l.field, cols))
     return out
 
 
 def quotient_algebra(l: LieAlgebra, s: Subspace) -> LieAlgebra:
-    """Quotient of ``l`` by an ideal ``s``, on the complement basis."""
-    if s.ambient != l.dim:
-        raise ShapeError("subspace ambient dimension does not match the algebra")
-    for i in range(l.dim):
-        for row in s.basis:
-            if not s.contains(l.bracket(l.basis_vector(i), row)):
-                raise InvarianceError("subspace is not an ideal")
+    """Quotient of ``l`` by an ideal ``s``, on the complement basis: column
+    b of the quotient action of complement vector a holds the bracket of a
+    and b."""
     comp = complement_indices(s)
-    pos = {c: a for a, c in enumerate(comp)}
+    actions = quotient_action(l, s, [l.basis_vector(i) for i in range(l.dim)])
     table = {}
     for a, ca in enumerate(comp):
+        m = actions[ca]
         for b in range(a + 1, len(comp)):
-            r = s.reduce(l.bracket(l.basis_vector(ca), l.basis_vector(comp[b])))
-            terms = [(pos[c], r[c]) for c in comp if r[c]]
+            terms = [(k, m.data[k][b]) for k in range(len(comp)) if m.data[k][b]]
             if terms:
                 table[(a, b)] = terms
     return LieAlgebra(l.field, [l.names[c] for c in comp], table)

@@ -33,7 +33,9 @@ _RE_CHAR = re.compile(r"^char\s+(not\s+in|in)\s*\{([^}]*)\}$")
 _RE_LET = re.compile(r"^let\s+([A-Za-z][A-Za-z0-9_]*)\s*=\s*(.+)$")
 _RE_RULE = re.compile(r"^rule\s+(.+?)\s*->\s*(.+)$")
 _RE_ASSERT_REDUCE = re.compile(r"^assert\s+reduce\((.+)\)\s*==\s*(.+)$")
-_RE_ASSERT_SPAN = re.compile(r"^assert\s+span\((\d+)\)\s*==\s*(.+)$")
+_RE_ASSERT_SPAN = re.compile(r"^assert\s+span\(([0-9]+)\)\s*==\s*(.+)$")
+
+EXCERPT_LIMIT = 80   # longest expression text quoted whole in a parse error
 
 
 @dataclass(frozen=True)
@@ -183,7 +185,9 @@ def run_script(text: str, characteristic=None) -> CertResult:
                 continue
             m = _RE_ASSERT_SPAN.match(line)
             if m:
-                degree = int(m.group(1))
+                degree = _natural(m.group(1))
+                if degree is None:
+                    raise ParseError("span degree has too many digits", line=no)
                 expected = _parse_expr(algebra, m.group(2), bindings, no)
                 for w, c in expected.terms.items():
                     if c != field.one:
@@ -206,8 +210,19 @@ def _format_words(words) -> str:
     return " ".join(_format_word(w) or "1" for w in words)
 
 
+def _excerpt(text: str, position) -> str:
+    """``text`` itself when short, else the ``EXCERPT_LIMIT`` characters
+    around ``position`` with "..." where text was cut."""
+    if len(text) <= EXCERPT_LIMIT:
+        return text
+    start = max(0, min((position or 0) - EXCERPT_LIMIT // 2, len(text) - EXCERPT_LIMIT))
+    end = start + EXCERPT_LIMIT
+    return ("..." if start else "") + text[start:end] + ("..." if end < len(text) else "")
+
+
 def _parse_expr(algebra, text, bindings, line_no):
     try:
         return algebra.parse(text, bindings)
     except ParseError as e:
-        raise ParseError(f"in expression {text!r}: {e}", line=line_no) from None
+        raise ParseError(f"in expression {_excerpt(text, e.position)!r}: {e}",
+                         line=line_no) from None

@@ -334,23 +334,6 @@ class ClassificationReport:
         return doc
 
 
-def minimize_generators(l: LieAlgebra, generators):
-    """Optional greedy pass: drop generators whose removal keeps the closure
-    equal to the span of the full set.  Kept out of the main report so the
-    certificates stay in one-to-one correspondence with the generators."""
-    gens = [l.check_vector(g) for g in generators]
-    target = subalgebra_closure(l, gens)
-    keep = list(gens)
-    i = 0
-    while i < len(keep):
-        trial = keep[:i] + keep[i + 1:]
-        if trial and subalgebra_closure(l, trial) == target:
-            keep = trial
-        else:
-            i += 1
-    return tuple(keep)
-
-
 def classify_theorem_main(l: LieAlgebra, x, assume_simple: bool = False) -> ClassificationReport:
     """Full pipeline from one extremal non-sandwich element to a verdict.
 
@@ -369,7 +352,7 @@ def classify_theorem_main(l: LieAlgebra, x, assume_simple: bool = False) -> Clas
         try:
             verdict = meataxe_simple(l)
         except CapabilityError:
-            verdict = is_simple(l, "certified")
+            verdict = is_simple(l)
         if not verdict.simple:
             raise HypothesisError(f"the algebra is not simple ({verdict.detail})")
         simplicity_mode, simplicity_detail = "certified", verdict.detail

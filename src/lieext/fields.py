@@ -60,10 +60,6 @@ class Field:
                 raise DomainError(f"characteristic must be 0 or prime, got {characteristic}")
         self.p = characteristic
 
-    @property
-    def characteristic(self) -> int:
-        return self.p
-
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
 

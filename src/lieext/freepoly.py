@@ -250,15 +250,6 @@ def reduce_poly(p: FreePoly, rules) -> FreePoly:
     return _collect(p.algebra, normal)
 
 
-def verify_reduction(combination: FreePoly, expected: FreePoly, rules):
-    """Reduce the combination and compare with the expected polynomial.
-
-    Returns ``(ok, residual)`` where the residual is the difference; a
-    mismatch is data, not an error."""
-    got = reduce_poly(combination, rules)
-    return got == expected, got - expected
-
-
 def span_closure(algebra: FreeAlgebra, rules, max_degree: int):
     """All words up to ``max_degree`` in normal form (no rule applies), by
     degree, then in alphabet order.  Only irreducible words are extended, so

@@ -72,14 +72,6 @@ class Matrix:
         return cls(field, len(data), cols, data)
 
     @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, n, n, tuple(unit_vec(field, n, i) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, rows, cols, tuple((field.zero,) * cols for _ in range(rows)))
-
-    @classmethod
     def from_columns(cls, field: Field, columns) -> "Matrix":
         columns = tuple(tuple(field.of(x) for x in c) for c in columns)
         rows = len(columns[0]) if columns else 0
@@ -107,24 +99,8 @@ class Matrix:
         return Matrix(self.field, self.cols, self.rows,
                       tuple(tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)))
 
-    def add(self, other: "Matrix") -> "Matrix":
-        self._compat(other, same_shape=True)
-        f = self.field
-        return Matrix(f, self.rows, self.cols,
-                      tuple(vec_add(f, a, b) for a, b in zip(self.data, other.data)))
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        self._compat(other, same_shape=True)
-        f = self.field
-        return Matrix(f, self.rows, self.cols,
-                      tuple(vec_sub(f, a, b) for a, b in zip(self.data, other.data)))
-
-    def scale(self, c) -> "Matrix":
-        f = self.field
-        return Matrix(f, self.rows, self.cols, tuple(vec_scale(f, c, r) for r in self.data))
-
     def mul(self, other: "Matrix") -> "Matrix":
-        self._compat(other)
+        self.field.require_same(other.field)
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         f = self.field
@@ -151,11 +127,6 @@ class Matrix:
             tuple(f.add(x, c) if i == j else x for j, x in enumerate(row))
             for i, row in enumerate(self.data)
         ))
-
-    def _compat(self, other: "Matrix", same_shape=False):
-        self.field.require_same(other.field)
-        if same_shape and (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError(f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
 
 def _dot(field: Field, u, v):
@@ -314,14 +285,6 @@ class Subspace:
         ech, rank, pivots = rref(Matrix(field, len(vectors), ambient, tuple(vectors)))
         return cls(field, ambient, ech.data[:rank], pivots)
 
-    @classmethod
-    def zero(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, (), ())
-
-    @classmethod
-    def full(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, Matrix.identity(field, ambient).data, range(ambient))
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -339,11 +302,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of F^{self.ambient})"
-
-    def _check(self, other: "Subspace"):
-        self.field.require_same(other.field)
-        if self.ambient != other.ambient:
-            raise ShapeError(f"ambient mismatch {self.ambient} vs {other.ambient}")
 
     def reduce(self, vec) -> tuple:
         """Residual of ``vec`` after eliminating against the echelon basis."""
@@ -367,20 +325,3 @@ class Subspace:
         if not self.contains(vec):
             return None
         return tuple(vec[p] for p in self.pivots)
-
-    def add(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        return Subspace.span(self.field, self.ambient, self.basis + other.basis)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        if not self.basis or not other.basis:
-            return Subspace.zero(self.field, self.ambient)
-        # Null space of [U^T | -V^T] yields coefficient pairs with aU = bV.
-        f = self.field
-        cols = list(self.basis) + [vec_scale(f, f.neg(f.one), row) for row in other.basis]
-        stacked = Matrix.from_columns(f, cols)
-        pairs = kernel(stacked)
-        k = len(self.basis)
-        vecs = [vec_combine(f, coeff[:k], self.basis) for coeff in pairs.basis]
-        return Subspace.span(f, self.ambient, vecs)

@@ -86,8 +86,6 @@ def restrict_operator(m: Matrix, s: Subspace) -> Matrix:
         if coords is None:
             raise InvarianceError("operator does not preserve the subspace")
         cols.append(coords)
-    if not cols:
-        return Matrix.zeros(m.field, 0, 0)
     return Matrix.from_columns(m.field, cols)
 
 
@@ -143,22 +141,13 @@ class HGrading:
         return {i: self.components[i].dim for i in LABELS}
 
 
-def lift_label(field, i: int, j: int):
-    """Label of the component receiving [L_i, L_j], or None."""
-    s = field.of(i + j)
-    for k in LABELS:
-        if field.of(k) == s:
-            return k
-    return None
-
-
 def h_grading(l: LieAlgebra, t: Sl2Triple) -> HGrading:
     """Eigenspace decomposition of -ad_h, verified to be a direct sum with
     the line through x at label -2 and the line through y at label 2."""
     require_good_characteristic(l)
     f = l.field
-    neg_ad_h = l.ad(t.h).scale(f.neg(f.one))
-    components = {i: eigenspace(neg_ad_h, f.of(i)) for i in LABELS}
+    ad_h = l.ad(t.h)
+    components = {i: eigenspace(ad_h, f.of(-i)) for i in LABELS}
     total = 0
     stacked = []
     for i in LABELS:

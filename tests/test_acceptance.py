@@ -245,6 +245,6 @@ def test_criterion_9_structural():
         c = center(ext)
         assert c.dim == 1
         assert c.basis[0] == ext.basis_vector(5)         # exactly the z^6 Dz line
-        verdict = is_simple(ext, "certified")
+        verdict = is_simple(ext)
         assert not verdict.simple
         assert to_json(quotient_algebra(ext, c)) == to_json(builtin("witt5", 5))

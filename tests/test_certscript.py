@@ -3,6 +3,7 @@ from importlib import resources
 import pytest
 
 from lieext import CapabilityError, ParseError, run_script
+from lieext.certscript import EXCERPT_LIMIT
 
 SHIPPED = ("lemma22.cert", "prop32.cert", "thm23_span.cert")
 
@@ -110,6 +111,23 @@ def test_script_syntax_errors():
         run_script("symbols X\nassert span(2) == 2*X\n")  # non-bare expectation
     with pytest.raises(ParseError):
         run_script("symbols X\nchar in {two}\nassert reduce(X) == X\n")
+
+
+def test_parse_errors_quote_a_bounded_excerpt():
+    with pytest.raises(ParseError) as short:
+        run_script("symbols X\nassert reduce(X + ) == X\n")
+    assert str(short.value) == (
+        "in expression 'X + ': unexpected end of input at position 4 at line 2")
+    deep = "(" * 3000 + "X" + ")" * 3000
+    with pytest.raises(ParseError) as long:
+        run_script(f"symbols X\nassert reduce({deep}) == X\n")
+    message = str(long.value)
+    assert "nested deeper than 100 at position 100" in message
+    assert f"'...{'(' * EXCERPT_LIMIT}...'" in message and len(message) < EXCERPT_LIMIT + 100
+    tail = "X + " * 100 + "Q"
+    with pytest.raises(ParseError) as late:
+        run_script(f"symbols X\nassert reduce({tail}) == X\n")
+    assert f"'...{tail[-EXCERPT_LIMIT:]}'" in str(late.value)
 
 
 def test_comments_and_blank_lines_are_ignored():

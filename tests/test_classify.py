@@ -22,6 +22,8 @@ from lieext.classify import VERDICT_GENERATED, VERDICT_WITT
 from lieext.extremal import EXTREMAL
 from lieext.linalg import vec_is_zero, vec_scale
 
+from conftest import on_random_basis
+
 
 def pipeline(l, x):
     st = classify_element(l, x)
@@ -378,17 +380,15 @@ def test_classify_contradiction_on_corrupt_tensor():
         classify_theorem_main(l, l.basis_vector(0), assume_simple=True)
 
 
-def test_minimize_generators():
-    from lieext import minimize_generators
-
-    l = builtin("sl3", 7)
-    rep = classify_theorem_main(l, l.basis_vector(1))
-    minimal = minimize_generators(l, rep.generators)
-    assert subalgebra_closure(l, minimal).dim == 8
-    assert len(minimal) <= len(rep.generators)
-    # dropping the pass's survivors below the closure target is impossible
-    full = subalgebra_closure(l, rep.generators)
-    assert subalgebra_closure(l, minimal) == full
+@pytest.mark.parametrize("name, p, x_index", [("sl3", 7, 1), ("sl4", 5, 2), ("witt5", 5, 2)])
+def test_classification_is_invariant_under_a_random_change_of_basis(name, p, x_index, rng):
+    l = builtin(name, p)
+    standard = classify_theorem_main(l, l.basis_vector(x_index))
+    dense, old_basis = on_random_basis(l, rng)
+    moved = classify_theorem_main(dense, old_basis[x_index])
+    assert moved.simplicity_mode == standard.simplicity_mode == "certified"
+    assert moved.verdict == standard.verdict
+    assert moved.grading.dims() == standard.grading.dims()
 
 
 def test_certificate_records_the_eight_span_vectors():

@@ -359,6 +359,10 @@ BOUNDARY_CASES = {
         t, "symbols X\nassert reduce(²*X) == X\n")], "unexpected character"),
     "cert superscript guard": (lambda t: ["cert", _cert(
         t, "symbols X\nchar in {²}\nassert reduce(X) == X\n")], "bad characteristic"),
+    "cert span degree of 5000 digits": (lambda t: ["cert", _cert(
+        t, "symbols X\nassert span(" + "9" * 5000 + ") == 1\n")], "too many digits"),
+    "cert span degree in Arabic-Indic digits": (lambda t: ["cert", _cert(
+        t, "symbols X\nassert span(\u0663) == 1\n")], "malformed assert line"),
     "cert huge guard": (lambda t: ["cert", _cert(
         t, f"symbols X\nchar in {{{BIG_PRIME}}}\nassert reduce(X) == X\n")],
         "no admissible characteristic"),

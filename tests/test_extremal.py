@@ -8,16 +8,15 @@ from lieext import (
     EXTREMAL,
     NOT_EXTREMAL,
     SANDWICH,
-    LieAlgebra,
     builtin,
     classify_element,
     exhaustive_scan,
     scan_basis,
 )
 from lieext.extremal import apply_functional
-from lieext.linalg import Matrix, rref, solve, vec_is_zero, vec_scale
+from lieext.linalg import vec_is_zero, vec_scale
 
-from conftest import rand_vec
+from conftest import on_random_basis, rand_vec
 
 
 def test_witt5_seed_element_is_extremal(witt5):
@@ -81,24 +80,6 @@ def test_functional_consistency_on_random_vectors(witt5, rng):
         assert lhs == vec_scale(f, apply_functional(st.functional, m, f), x)
 
 
-def _on_random_basis(l, rng):
-    """``l`` on the basis g b_i for a random invertible g, with the old basis
-    vectors in the new coordinates; the structure constants come out dense."""
-    f = l.field
-    while True:
-        cols = [rand_vec(f, l.dim, rng) for _ in range(l.dim)]
-        g = Matrix.from_columns(f, cols)
-        if rref(g)[1] == l.dim:
-            break
-    table = {}
-    for i in range(l.dim):
-        for j in range(i + 1, l.dim):
-            coords = solve(g, l.bracket(cols[i], cols[j]))
-            table[(i, j)] = [(k, c) for k, c in enumerate(coords) if c]
-    old_basis = [solve(g, l.basis_vector(i)) for i in range(l.dim)]
-    return LieAlgebra(f, l.names, table), old_basis
-
-
 def _two_bracket_oracle(l, x):
     """Kind and functional of x from [x, [x, b_j]], two brackets per column."""
     f = l.field
@@ -119,7 +100,7 @@ def _two_bracket_oracle(l, x):
     ("sl3", {NOT_EXTREMAL, EXTREMAL}),
 ])
 def test_kernel_matches_bracket_oracle_on_a_random_basis(name, kinds, rng):
-    l, old_basis = _on_random_basis(builtin(name, 5), rng)
+    l, old_basis = on_random_basis(builtin(name, 5), rng)
     vectors = old_basis + [rand_vec(l.field, l.dim, rng) for _ in range(200)]
     seen = set()
     for x in vectors:
@@ -238,6 +219,25 @@ def test_exhaustive_scan_sl2():
         exts = set(scan.extremal)
         assert l.basis_vector(0) in exts and l.basis_vector(1) in exts
         assert l.basis_vector(2) not in exts
+
+
+@pytest.mark.parametrize("name, p, pairing", [
+    ("witt5", 5, False),    # f_x(y) = 0 on all 24 vectors the scan finds
+    ("sl2", 5, True), ("sl2", 7, True), ("sl2", 11, True),
+])
+def test_extremal_form_is_symmetric(name, p, pairing):
+    # Cohen-Steinbach-Ushirobira-Wales (J. Algebra 2001): [x, [x, y]] = 2 g(x, y) x
+    # for one symmetric form g, so f_x(y) = f_y(x) on every pair the scan finds.
+    l = builtin(name, p)
+    scan = exhaustive_scan(l)
+    functionals = {v: classify_element(l, v).functional for v in scan.extremal + scan.sandwich}
+    nonzero = 0
+    for x, fx in functionals.items():
+        for y, fy in functionals.items():
+            value = apply_functional(fx, y, l.field)
+            assert value == apply_functional(fy, x, l.field), (x, y)
+            nonzero += bool(value)
+    assert bool(nonzero) == pairing
 
 
 def test_exhaustive_scan_heisenberg():
