@@ -22,6 +22,7 @@ from .fields import Field
 from .linalg import (Matrix, Subspace, solve, vec_add, vec_combine, vec_is_zero, vec_ratio,
                      vec_scale, vec_sub)
 from .sl2 import (
+    _Relations,
     HGrading,
     Sl2Triple,
     dichotomy,
@@ -67,19 +68,6 @@ class ExtremalGenCertificate:
     membership_coords: tuple    # coordinates of z over the echelon basis of <x, y, u>
 
 
-# Names reported for the per-z certificate, in check order.
-_REL_NAMES = tuple(f"rel{i}" for i in range(1, 13)) + (
-    "adz_of_[[h1,z],x]",
-    "[y,u]=-h-z",
-    "[[y,u],y]=2y",
-    "[[y,u],u]=-2u",
-    "u_extremal",
-    "span_is_eight_set",
-    "z_reconstruction",
-    "z_in_<x,y,u>",
-)
-
-
 def extremal_from_L1(l: LieAlgebra, t: Sl2Triple, g: HGrading, z) -> ExtremalGenCertificate:
     """Certify one generator: u = exp(ad_z) x is extremal and, together with
     x and y, regenerates z.  Every relation is checked exactly; a failure is
@@ -89,78 +77,54 @@ def extremal_from_L1(l: LieAlgebra, t: Sl2Triple, g: HGrading, z) -> ExtremalGen
         raise HypothesisError("z must lie in the label-1 component of the grading")
     f = l.field
     x, y, h = t.x, t.y, t.h
-
-    def fail(name):
-        raise ContradictionError(f"certificate relation failed: {name}")
-
+    check = _Relations(ContradictionError, "certificate relation")
     two = f.of(2)
     a1 = l.bracket(z, x)
     a2 = l.bracket(z, a1)
     a3 = l.bracket(z, a2)
     a4 = l.bracket(z, a3)
     xz = l.bracket(x, z)
-    if l.bracket(h, x) != vec_scale(f, two, x):
-        fail("rel1")
-    if l.bracket(h, y) != vec_scale(f, f.neg(two), y):
-        fail("rel2")
-    if l.bracket(z, h) != z:
-        fail("rel3")
-    if not vec_is_zero(l.bracket(y, z)):
-        fail("rel4")
-    if not vec_is_zero(l.bracket(x, xz)):
-        fail("rel5")
-    if l.bracket(y, xz) != z:
-        fail("rel6")
-    if not vec_is_zero(l.bracket(y, a2)):
-        fail("rel7")
-    if not vec_is_zero(l.bracket(x, a2)):
-        fail("rel8")
-    if not vec_is_zero(l.bracket(y, a3)):
-        fail("rel9")
-    if not vec_is_zero(l.bracket(x, l.bracket(x, a3))):
-        fail("rel10")
-    if l.bracket(y, l.bracket(x, a3)) != a3:
-        fail("rel11")
+    check("rel1", l.bracket(h, x) == vec_scale(f, two, x))
+    check("rel2", l.bracket(h, y) == vec_scale(f, f.neg(two), y))
+    check("rel3", l.bracket(z, h) == z)
+    check("rel4", vec_is_zero(l.bracket(y, z)))
+    check("rel5", vec_is_zero(l.bracket(x, xz)))
+    check("rel6", l.bracket(y, xz) == z)
+    check("rel7", vec_is_zero(l.bracket(y, a2)))
+    check("rel8", vec_is_zero(l.bracket(x, a2)))
+    check("rel9", vec_is_zero(l.bracket(y, a3)))
+    check("rel10", vec_is_zero(l.bracket(x, l.bracket(x, a3))))
+    check("rel11", l.bracket(y, l.bracket(x, a3)) == a3)
     alpha = vec_ratio(f, a4, y)
-    if alpha is None:
-        fail("rel12")
+    check("rel12", alpha is not None)
 
     h1 = l.bracket(xz, z)
     b_minus = l.bracket(l.bracket(h1, z), x)
     # Jacobi applied to the quartic relation pins this value: with
     # [h1, x] = 0 one gets 2 ad_z([[h1,z],x]) = [ad_z([h1,z]), x] = alpha*h,
     # since [h1, z] = -ad_z^3(x) and ad_z^4(x) = alpha*y.
-    expected = vec_scale(f, f.div(alpha, two), h)
-    if l.bracket(z, b_minus) != expected:
-        fail("adz_of_[[h1,z],x]")
+    check("adz_of_[[h1,z],x]",
+          l.bracket(z, b_minus) == vec_scale(f, f.div(alpha, two), h))
 
     u = exp_ad(l, z, x)
     yu = l.bracket(y, u)
-    if yu != vec_sub(f, l.zero(), vec_add(f, h, z)):
-        fail("[y,u]=-h-z")
-    if l.bracket(yu, y) != vec_scale(f, two, y):
-        fail("[[y,u],y]=2y")
-    if l.bracket(yu, u) != vec_scale(f, f.neg(two), u):
-        fail("[[y,u],u]=-2u")
-    if classify_element(l, u).kind != EXTREMAL:
-        fail("u_extremal")
+    check("[y,u]=-h-z", yu == vec_sub(f, l.zero(), vec_add(f, h, z)))
+    check("[[y,u],y]=2y", l.bracket(yu, y) == vec_scale(f, two, y))
+    check("[[y,u],u]=-2u", l.bracket(yu, u) == vec_scale(f, f.neg(two), u))
+    check("u_extremal", classify_element(l, u).kind == EXTREMAL)
 
     eight = [x, xz, b_minus, h, h1, z, l.bracket(h1, z), y]
     span_eight = Subspace.span(f, l.dim, eight)
     closure = subalgebra_closure(l, [x, y, z])
-    if closure != span_eight:
-        fail("span_is_eight_set")
+    check("span_is_eight_set", closure == span_eight)
 
     z_rec = vec_scale(f, f.neg(f.one), l.bracket(y, a1))
     z_rec = vec_sub(f, z_rec, vec_scale(f, f.inv(two), l.bracket(y, a2)))
     z_rec = vec_sub(f, z_rec, vec_scale(f, f.inv(f.of(6)), l.bracket(y, a3)))
-    if z_rec != z:
-        fail("z_reconstruction")
-    closure_xyu = subalgebra_closure(l, [x, y, u])
-    coords = closure_xyu.coords(z)
-    if coords is None:
-        fail("z_in_<x,y,u>")
-    return ExtremalGenCertificate(z, alpha, h1, u, _REL_NAMES, tuple(eight),
+    check("z_reconstruction", z_rec == z)
+    coords = subalgebra_closure(l, [x, y, u]).coords(z)
+    check("z_in_<x,y,u>", coords is not None)
+    return ExtremalGenCertificate(z, alpha, h1, u, tuple(check.names), tuple(eight),
                                   closure.dim, coords)
 
 
@@ -180,31 +144,6 @@ class WittIsoReport:
     span_equals_algebra: bool
 
 
-def _witt_rules(l, x, y, h, v, vy, vvy):
-    f = l.field
-    two = f.of(2)
-    neg = lambda vec: vec_scale(f, f.neg(f.one), vec)
-    zero = l.zero()
-    return (
-        ("[x,y]=h", l.bracket(x, y) == tuple(h)),
-        ("[x,h]=-2x", l.bracket(x, h) == vec_scale(f, f.neg(two), x)),
-        ("[x,v]=0", l.bracket(x, v) == zero),
-        ("[x,[v,y]]=-v", l.bracket(x, vy) == neg(v)),
-        ("[x,[v,[v,y]]]=0", l.bracket(x, vvy) == zero),
-        ("[y,h]=2y", l.bracket(y, h) == vec_scale(f, two, y)),
-        ("[y,v]=-[v,y]", l.bracket(y, v) == neg(vy)),
-        ("[y,[v,y]]=-x", l.bracket(y, vy) == neg(x)),
-        ("[y,[v,[v,y]]]=0", l.bracket(y, vvy) == zero),
-        ("[h,v]=v", l.bracket(h, v) == tuple(v)),
-        ("[h,[v,y]]=-[v,y]", l.bracket(h, vy) == neg(vy)),
-        ("[h,[v,[v,y]]]=0", l.bracket(h, vvy) == zero),
-        ("[v,[v,y]]=[v,[v,y]]", l.bracket(v, vy) == tuple(vvy)),
-        ("[v,[v,[v,y]]]=0", l.bracket(v, vvy) == zero),
-        ("[[v,y],[v,[v,y]]]=0", l.bracket(vy, vvy) == zero),
-        ("[y,[y,v]]=x", l.bracket(y, l.bracket(y, v)) == tuple(x)),
-    )
-
-
 def witt_recognize(l: LieAlgebra, t: Sl2Triple, v, simple=None) -> WittIsoReport:
     """Verify the sixteen multiplication rules on the spanning set built
     from v, decide between the Witt algebra and its central extension, and
@@ -219,10 +158,26 @@ def witt_recognize(l: LieAlgebra, t: Sl2Triple, v, simple=None) -> WittIsoReport
     vy = l.bracket(v, y)
     vvy = l.bracket(v, vy)
     spanning = (x, y, h, v, vy, vvy)
-    rules = _witt_rules(l, *spanning)
-    for name, ok in rules:
-        if not ok:
-            raise HypothesisError(f"multiplication rule failed: {name}")
+    check = _Relations(HypothesisError, "multiplication rule")
+    two = f.of(2)
+    neg = lambda vec: vec_scale(f, f.neg(f.one), vec)
+    zero = l.zero()
+    check("[x,y]=h", l.bracket(x, y) == tuple(h))
+    check("[x,h]=-2x", l.bracket(x, h) == vec_scale(f, f.neg(two), x))
+    check("[x,v]=0", l.bracket(x, v) == zero)
+    check("[x,[v,y]]=-v", l.bracket(x, vy) == neg(v))
+    check("[x,[v,[v,y]]]=0", l.bracket(x, vvy) == zero)
+    check("[y,h]=2y", l.bracket(y, h) == vec_scale(f, two, y))
+    check("[y,v]=-[v,y]", l.bracket(y, v) == neg(vy))
+    check("[y,[v,y]]=-x", l.bracket(y, vy) == neg(x))
+    check("[y,[v,[v,y]]]=0", l.bracket(y, vvy) == zero)
+    check("[h,v]=v", l.bracket(h, v) == tuple(v))
+    check("[h,[v,y]]=-[v,y]", l.bracket(h, vy) == neg(vy))
+    check("[h,[v,[v,y]]]=0", l.bracket(h, vvy) == zero)
+    check("[v,[v,y]]=[v,[v,y]]", l.bracket(v, vy) == tuple(vvy))
+    check("[v,[v,[v,y]]]=0", l.bracket(v, vvy) == zero)
+    check("[[v,y],[v,[v,y]]]=0", l.bracket(vy, vvy) == zero)
+    check("[y,[y,v]]=x", l.bracket(y, l.bracket(y, v)) == tuple(x))
     extended = not vec_is_zero(vvy)
     target_name = "W_tilde" if extended else "W"
     active = spanning if extended else spanning[:5]
@@ -261,7 +216,7 @@ def witt_recognize(l: LieAlgebra, t: Sl2Triple, v, simple=None) -> WittIsoReport
         raise ContradictionError(
             "the recognized subalgebra is proper although the algebra is simple")
     phi = tuple((SPANNING_LABELS[k], format_vector(mf, images[k])) for k in range(len(active)))
-    return WittIsoReport(target_name, spanning, tuple(name for name, _ in rules), phi, span_all)
+    return WittIsoReport(target_name, spanning, tuple(check.names), phi, span_all)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +313,7 @@ def classify_theorem_main(l: LieAlgebra, x, assume_simple: bool = False) -> Clas
         simplicity_mode, simplicity_detail = "certified", verdict.detail
         certified_simple = True
 
-    w = find_witness(l, x, status.functional)
+    w = find_witness(l, status.functional)
     triple, _ = complete_sl2(l, x, w)
     grading = h_grading(l, triple)
     quad = quadraticity_check(l, triple)

@@ -209,7 +209,7 @@ def _cmd_sl2(args) -> int:
     l, digest = _load_algebra(args.file)
     x = parse_coords(l.field, args.x, l.dim)
     status = require_extremal(l, x)
-    w = find_witness(l, x, status.functional)
+    w = find_witness(l, status.functional)
     triple, cert = complete_sl2(l, x, w)
     fmt = lambda v: format_vector(l.field, v)
     _emit({

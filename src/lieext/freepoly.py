@@ -22,6 +22,7 @@ SPAN_WORD_LIMIT = 10**5    # most irreducible words span_closure will list
 EXPONENT_LIMIT = 64        # largest exponent of a power
 PRODUCT_LIMIT = 10**6      # most terms plus letters one product may write
 DEPTH_LIMIT = 100          # deepest nesting of parentheses in an expression
+REWRITE_STEP_LIMIT = 10**5  # most rule applications one reduce_poly call may make
 
 class FreeAlgebra:
     """Context object: an ordered alphabet over a coefficient field."""
@@ -232,18 +233,24 @@ def _first_match(word, rules):
 def reduce_poly(p: FreePoly, rules) -> FreePoly:
     """Normal form of every term under the fixed strategy, then recombined.
 
-    Reduction is termwise, hence linear by construction."""
+    Reduction is termwise, hence linear by construction.  Terms are not
+    merged until the end, so the work can grow exponentially; more than
+    ``REWRITE_STEP_LIMIT`` rule applications raise :class:`CapabilityError`."""
     for r in rules:
         if r.algebra != p.algebra:
             raise DomainError("rules live in a different free algebra")
     mul = p.algebra.field.mul
     stack, normal = list(p.terms.items()), []
+    steps = 0
     while stack:
         word, coeff = stack.pop()
         hit = _first_match(word, rules)
         if hit is None:
             normal.append((word, coeff))
             continue
+        steps += 1
+        if steps > REWRITE_STEP_LIMIT:
+            raise CapabilityError(f"reduction needs more than {REWRITE_STEP_LIMIT} rewrite steps")
         pos, rule = hit
         head, tail = word[:pos], word[pos + len(rule.lhs):]
         stack.extend((head + w2 + tail, mul(coeff, c2)) for w2, c2 in rule.rhs.terms.items())

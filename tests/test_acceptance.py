@@ -72,14 +72,14 @@ def built_triples():
                     ("sl4", 5), ("sl4", 7), ("witt5", 5)):
         l, x = designated_extremal(name, p)
         st = classify_element(l, x)
-        w = find_witness(l, x, st.functional)
+        w = find_witness(l, st.functional)
         triple, _ = complete_sl2(l, x, w)
         out.append((f"{name}/F{p}", l, triple))
     ext = builtin("wittext5", 5)
     q = quotient_algebra(ext, center(ext))
     x = (0, 0, q.field.of(-1), 0, 0)
     st = classify_element(q, x)
-    triple, _ = complete_sl2(q, x, find_witness(q, x, st.functional))
+    triple, _ = complete_sl2(q, x, find_witness(q, st.functional))
     out.append(("wittext5/center quotient", q, triple))
     return out
 
@@ -229,7 +229,7 @@ def test_criterion_8_negative_controls():
         h = builtin("heisenberg", 5)
         st = classify_element(h, h.basis_vector(0))
         with pytest.raises(HypothesisError):
-            find_witness(h, h.basis_vector(0), st.functional)
+            find_witness(h, st.functional)
         sl2 = builtin("sl2", 5)
         assert classify_element(sl2, sl2.basis_vector(2)).kind == NOT_EXTREMAL
         w = builtin("witt5", 5)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from lieext import (
@@ -18,6 +20,7 @@ from lieext import (
     complete_sl2,
     witt_recognize,
 )
+from lieext.algebra import from_json, to_json
 from lieext.classify import VERDICT_GENERATED, VERDICT_WITT
 from lieext.extremal import EXTREMAL
 from lieext.linalg import vec_is_zero, vec_scale
@@ -27,7 +30,7 @@ from conftest import on_random_basis
 
 def pipeline(l, x):
     st = classify_element(l, x)
-    w = find_witness(l, x, st.functional)
+    w = find_witness(l, st.functional)
     triple, _ = complete_sl2(l, x, w)
     grading = h_grading(l, triple)
     return triple, grading
@@ -378,6 +381,25 @@ def test_classify_contradiction_on_corrupt_tensor():
     })
     with pytest.raises(ContradictionError):
         classify_theorem_main(l, l.basis_vector(0), assume_simple=True)
+
+
+@pytest.mark.parametrize("name, p, bracket, coeff, x_index, error, message", [
+    ("sl3", 7, (2, 5), "4", 2, ContradictionError, "certificate relation failed: rel6"),
+    ("sl3", 7, (5, 6), "5", 1, ContradictionError,
+     "regular-branch verification failed: x_maps_L1_onto_L-1"),
+    ("witt5", 5, (0, 4), "3", 2, HypothesisError, "multiplication rule failed: [x,[v,y]]=-v"),
+])
+def test_a_failing_relation_is_reported_by_name(name, p, bracket, coeff, x_index, error, message):
+    # One structure constant of a builtin changed: every stage before the
+    # named relation still passes, and the run stops at that relation.
+    doc = json.loads(to_json(builtin(name, p)))
+    (entry,) = [e for e in doc["brackets"] if (e["i"], e["j"]) == bracket]
+    (term,) = entry["terms"]
+    term[1] = coeff
+    l = from_json(json.dumps(doc))
+    with pytest.raises(error) as info:
+        classify_theorem_main(l, l.basis_vector(x_index), assume_simple=True)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("name, p, x_index", [("sl3", 7, 1), ("sl4", 5, 2), ("witt5", 5, 2)])

@@ -363,6 +363,9 @@ BOUNDARY_CASES = {
         t, "symbols X\nassert span(" + "9" * 5000 + ") == 1\n")], "too many digits"),
     "cert span degree in Arabic-Indic digits": (lambda t: ["cert", _cert(
         t, "symbols X\nassert span(\u0663) == 1\n")], "malformed assert line"),
+    "cert rewrite past the step limit": (lambda t: ["cert", _cert(
+        t, "symbols X Y\nrule X^2 -> X + Y\nassert reduce(X^64) == 0\n")],
+        "more than 100000 rewrite steps"),
     "cert huge guard": (lambda t: ["cert", _cert(
         t, f"symbols X\nchar in {{{BIG_PRIME}}}\nassert reduce(X) == X\n")],
         "no admissible characteristic"),

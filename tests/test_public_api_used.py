@@ -8,6 +8,9 @@ weight: delete it, or move it into the test that needs it.
 References are matched by name alone, whatever object they are read from,
 so a method that shares its name with a used one (``Matrix.add`` beside
 ``Field.add``, say) passes unnoticed.
+
+Likewise every parameter of a function or lambda in ``src/lieext``, other
+than ``self`` and ``cls``, must be read somewhere in its body.
 """
 
 import ast
@@ -54,3 +57,26 @@ def test_every_public_callable_is_exported_or_used():
               for qualname, name, module_level in _definitions(tree)
               if name not in used and not (module_level and name in exported)]
     assert not unused, f"public API with no user in src/lieext: {unused}"
+
+
+def _unread_parameters(tree):
+    """(function name, parameter) for each parameter its body never reads."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        body = node.body if isinstance(node, ast.FunctionDef) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for p in params:
+            if p.arg not in ("self", "cls") and p.arg not in read:
+                yield getattr(node, "name", "<lambda>"), p.arg
+
+
+def test_every_parameter_is_read():
+    unread = [f"{path.stem}.{name}({param})"
+              for path in sorted(SOURCE.glob("*.py"))
+              for name, param in _unread_parameters(
+                  ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))]
+    assert not unread, f"parameters their function never reads: {unread}"

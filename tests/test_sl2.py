@@ -71,7 +71,7 @@ def test_find_witness_witt5(witt5):
     f = witt5.field
     x = (0, 0, f.of(-1), 0, 0)
     st = classify_element(witt5, x)
-    w = find_witness(witt5, x, st.functional)
+    w = find_witness(witt5, st.functional)
     assert w == witt5.basis_vector(0)  # (-2 / -2) * Dz
 
 
@@ -81,7 +81,7 @@ def test_find_witness_sl3_lands_on_opposite_root():
     st = classify_element(l, x)
     nz = [i for i, c in enumerate(st.functional) if c]
     assert nz == [4]  # only E31 pairs with E13
-    w = find_witness(l, x, st.functional)
+    w = find_witness(l, st.functional)
     assert w == l.basis_vector(4)
 
 
@@ -89,7 +89,7 @@ def test_find_witness_rejects_sandwich():
     l = builtin("heisenberg", 5)
     st = classify_element(l, l.basis_vector(0))
     with pytest.raises(HypothesisError):
-        find_witness(l, l.basis_vector(0), st.functional)
+        find_witness(l, st.functional)
 
 
 # -- the triple construction ---------------------------------------------------
@@ -173,7 +173,7 @@ def test_make_triple_checks_relations(witt5):
 def pipeline_triple(name, p):
     l, x = designated(name, p)
     st = classify_element(l, x)
-    w = find_witness(l, x, st.functional)
+    w = find_witness(l, st.functional)
     triple, _ = complete_sl2(l, x, w)
     return l, triple
 
@@ -246,7 +246,7 @@ def test_grading_rejects_non_diagonalizable():
     l = LieAlgebra(f, ["b0", "b1", "b2", "b3", "b4"], table)
     x = (0, 0, f.of(-1), 0, 0)
     st = classify_element(l, x)
-    w = find_witness(l, x, st.functional)
+    w = find_witness(l, st.functional)
     triple, _ = complete_sl2(l, x, w)
     with pytest.raises(HypothesisError):
         h_grading(l, triple)
@@ -265,7 +265,7 @@ def test_quadraticity_on_central_quotient_of_extension(wittext5):
     f = q.field
     x = (0, 0, f.of(-1), 0, 0)
     st = classify_element(q, x)
-    triple, _ = complete_sl2(q, x, find_witness(q, x, st.functional))
+    triple, _ = complete_sl2(q, x, find_witness(q, st.functional))
     assert quadraticity_check(q, triple)
 
 
@@ -291,12 +291,6 @@ def test_dichotomy_sl3_regular_at_both_characteristics():
         g = h_grading(l, t)
         res = dichotomy(l, t, g)
         assert res.branch == "regular"
-        assert res.checks == {
-            "y_extremal": True,
-            "x_maps_L1_onto_L-1": True,
-            "y_maps_L-1_onto_L1": True,
-            "integer_grading": True,
-        }
         assert "treated as a typo" in res.note
 
 
@@ -317,7 +311,7 @@ def test_dichotomy_contradiction_on_corrupt_tensor():
     assert not l.validate().ok
     x = l.basis_vector(0)
     st = classify_element(l, x)
-    triple, _ = complete_sl2(l, x, find_witness(l, x, st.functional))
+    triple, _ = complete_sl2(l, x, find_witness(l, st.functional))
     g = h_grading(l, triple)
     with pytest.raises(ContradictionError):
         dichotomy(l, triple, g)
