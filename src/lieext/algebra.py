@@ -26,6 +26,7 @@ from .linalg import (
     GrowingSpan,
     Matrix,
     Subspace,
+    eigenvalues,
     kernel,
     unit_vec,
     vec_add,
@@ -159,22 +160,16 @@ class SimplicityVerdict:
 
 
 def subalgebra_closure(l: LieAlgebra, gens) -> Subspace:
-    """Smallest subspace containing ``gens`` and closed under the bracket.
+    """Smallest subspace containing ``gens`` and closed under the bracket:
+    the closure of ``gens`` under every ad(g), g in ``gens``.
 
-    Worklist discipline: every vector ever added is bracketed against all
-    earlier ones exactly once, so no pair is recomputed."""
+    By the Jacobi identity [[a, b], c] = [a, [b, c]] - [b, [a, c]], so every
+    bracket of generators is a sum of right-normed ones [g1, [g2, ..., gk]],
+    and these are exactly the images of the generators under words in the
+    ad(g)."""
     vecs = [l.check_vector(g) for g in gens]
-    span = GrowingSpan(l.field, l.dim)
-    pool = [v for v in vecs if span.insert(v)]
-    idx = 0
-    while idx < len(pool):
-        u = pool[idx]
-        for v in pool[: idx + 1]:
-            w = l.bracket(u, v)
-            if span.insert(w):
-                pool.append(w)
-        idx += 1
-    return span.to_subspace()
+    mats = [l.ad(v) for v in vecs]
+    return GrowingSpan(l.field, l.dim)._close(mats, vecs).to_subspace()
 
 
 def ideal_closure(l: LieAlgebra, gens) -> Subspace:
@@ -273,10 +268,13 @@ def meataxe_simple(l: LieAlgebra) -> SimplicityVerdict:
     injective on W, forcing W inside im t and the annihilator of im t + W to
     vanish, a contradiction).  So when every line of ker t generates the
     whole module and every line of ker t^T generates the dual, no proper
-    nonzero ideal exists.  Negative answers always come with a concrete
-    witness ideal.  Much faster than the projective-point enumeration of
-    :func:`is_simple`, and used by the classification pipeline; the two are
-    cross-checked in the test suite.
+    nonzero ideal exists.  The identity lies in the unital enveloping
+    algebra, so t = ad(x) - lambda*1 serves as well as ad(x) when lambda is
+    an eigenvalue of ad(x) in F_p, and on sl_n some shift usually reaches
+    nullity 1.  Negative answers always come with a concrete witness ideal.
+    Much faster than the projective-point enumeration of :func:`is_simple`,
+    and used by the classification pipeline; the two are cross-checked in
+    the test suite.
     """
     if l.field.p == 0:
         raise CapabilityError("simplicity is only certified over finite fields")
@@ -289,12 +287,13 @@ def meataxe_simple(l: LieAlgebra) -> SimplicityVerdict:
     rng = random.Random(SIMPLICITY_SEED)
     samples = [tuple(f.random(rng) for _ in range(l.dim)) for _ in range(24)]
     thetas = chain(ads, (l.ad(x) for x in samples if not vec_is_zero(x)))
+    shifted = (theta.add_scalar_diag(f.neg(lam)) for theta in thetas for lam in eigenvalues(theta))
 
     def lines_of(nullity):
         return (f.p**nullity - 1) // (f.p - 1)
 
     best = None
-    for theta in thetas:
+    for theta in shifted:
         ker = kernel(theta)
         if ker.dim == 0 or lines_of(ker.dim) > MEATAXE_LINE_BUDGET:
             continue

@@ -2,16 +2,18 @@
 parser, and a terminating rewrite engine.
 
 Rewriting strategy (part of the contract, since the rule sets are not
-confluent by construction): each term is normalized independently; within a
-word, match positions are scanned left to right and at each position the
-rules are tried in list order; the first match is replaced and the resulting
-words are normalized again.  Rules must be length-decreasing (or
+confluent by construction): each word is normalized independently, so like
+words may be merged before they are rewritten; within a word, match
+positions are scanned left to right and at each position the rules are tried
+in list order; the first match is replaced and the resulting words are
+normalized again.  Rules must be length-decreasing (or
 length-preserving and lexicographically decreasing), which makes every
 reduction terminate.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
 from itertools import chain
 
@@ -23,6 +25,7 @@ EXPONENT_LIMIT = 64        # largest exponent of a power
 PRODUCT_LIMIT = 10**6      # most terms plus letters one product may write
 DEPTH_LIMIT = 100          # deepest nesting of parentheses in an expression
 REWRITE_STEP_LIMIT = 10**5  # most rule applications one reduce_poly call may make
+REWRITE_LETTER_LIMIT = 10**7  # most terms plus letters one reduce_poly call may write
 
 class FreeAlgebra:
     """Context object: an ordered alphabet over a coefficient field."""
@@ -35,6 +38,7 @@ class FreeAlgebra:
         if not all(s and s.isalpha() for s in self.alphabet):
             raise DomainError("alphabet symbols must be nonempty alphabetic words")
         self.index = {s: i for i, s in enumerate(self.alphabet)}
+        self._reversed_index = {s: -i for i, s in enumerate(self.alphabet)}
 
     def __eq__(self, other):
         return (isinstance(other, FreeAlgebra) and self.field == other.field
@@ -66,7 +70,11 @@ class FreeAlgebra:
         return FreePoly(self, {w: self.field.one})
 
     def word_key(self, w):
-        return (len(w), tuple(self.index[s] for s in w))
+        return (len(w), tuple(map(self.index.__getitem__, w)))
+
+    def descending_word_key(self, w):
+        """Orders words the opposite way to :meth:`word_key`."""
+        return (-len(w), tuple(map(self._reversed_index.__getitem__, w)))
 
     def parse(self, text: str, bindings=None) -> "FreePoly":
         return _Parser(self, text, bindings or {}).parse()
@@ -233,28 +241,46 @@ def _first_match(word, rules):
 def reduce_poly(p: FreePoly, rules) -> FreePoly:
     """Normal form of every term under the fixed strategy, then recombined.
 
-    Reduction is termwise, hence linear by construction.  Terms are not
-    merged until the end, so the work can grow exponentially; more than
-    ``REWRITE_STEP_LIMIT`` rule applications raise :class:`CapabilityError`."""
+    Reduction is linear and each word has one normal form, so like words are
+    merged before they are rewritten.  A rule lowers ``word_key`` in any
+    context, so taking the largest pending word first rewrites each word at
+    most once.  More than ``REWRITE_STEP_LIMIT`` rule applications, or more
+    than ``REWRITE_LETTER_LIMIT`` terms plus letters written, raise
+    :class:`CapabilityError`."""
     for r in rules:
         if r.algebra != p.algebra:
             raise DomainError("rules live in a different free algebra")
-    mul = p.algebra.field.mul
-    stack, normal = list(p.terms.items()), []
-    steps = 0
-    while stack:
-        word, coeff = stack.pop()
+    field, key = p.algebra.field, p.algebra.descending_word_key
+    pending, normal = dict(p.terms), {}
+    heap = [(key(w), w) for w in pending]
+    heapq.heapify(heap)
+    steps = written = 0
+    while heap:
+        word = heapq.heappop(heap)[1]
+        coeff = pending.pop(word)
+        if not coeff:
+            continue
         hit = _first_match(word, rules)
         if hit is None:
-            normal.append((word, coeff))
+            normal[word] = coeff
             continue
-        steps += 1
-        if steps > REWRITE_STEP_LIMIT:
-            raise CapabilityError(f"reduction needs more than {REWRITE_STEP_LIMIT} rewrite steps")
         pos, rule = hit
         head, tail = word[:pos], word[pos + len(rule.lhs):]
-        stack.extend((head + w2 + tail, mul(coeff, c2)) for w2, c2 in rule.rhs.terms.items())
-    return _collect(p.algebra, normal)
+        steps += 1
+        written += sum(len(head) + len(w2) + len(tail) + 1 for w2 in rule.rhs.terms)
+        if steps > REWRITE_STEP_LIMIT:
+            raise CapabilityError(f"reduction needs more than {REWRITE_STEP_LIMIT} rewrite steps")
+        if written > REWRITE_LETTER_LIMIT:
+            raise CapabilityError(f"reduction writes more than {REWRITE_LETTER_LIMIT} "
+                                  "terms plus letters")
+        for w2, c2 in rule.rhs.terms.items():
+            w, c = head + w2 + tail, field.mul(coeff, c2)
+            if w in pending:
+                pending[w] = field.add(pending[w], c)
+            else:
+                pending[w] = c
+                heapq.heappush(heap, (key(w), w))
+    return FreePoly(p.algebra, normal)
 
 
 def span_closure(algebra: FreeAlgebra, rules, max_degree: int):

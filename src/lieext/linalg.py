@@ -208,6 +208,145 @@ def eigenspace(a: Matrix, lam) -> "Subspace":
     return kernel(a.add_scalar_diag(a.field.neg(lam)))
 
 
+def eigenvalues(a: Matrix) -> list:
+    """The distinct eigenvalues in GF(p) of a square matrix over GF(p), in
+    increasing order: the roots in GF(p) of its characteristic polynomial."""
+    if a.rows != a.cols:
+        raise ShapeError("eigenvalues need a square matrix")
+    return _roots(a.field, _charpoly(a))
+
+
+def _charpoly(a: Matrix) -> list:
+    """det(x*1 - a) as a coefficient list, lowest degree first.
+
+    ``a`` is first conjugated to upper Hessenberg form h; then the leading
+    minors P_k of x*1 - h satisfy, expanding along the last column,
+    P_(k+1) = (x - h_kk) P_k - sum_(i<k) h_ik h_(i+1,i) ... h_(k,k-1) P_i."""
+    f, n = a.field, a.rows
+    h = [list(r) for r in a.data]
+    for m in range(n - 2):
+        src = next((i for i in range(m + 1, n) if h[i][m]), None)
+        if src is None:
+            continue
+        if src != m + 1:  # conjugate by the transposition of src and m + 1
+            h[src], h[m + 1] = h[m + 1], h[src]
+            for row in h:
+                row[src], row[m + 1] = row[m + 1], row[src]
+        inv = f.inv(h[m + 1][m])
+        for i in range(m + 2, n):
+            u = f.mul(h[i][m], inv)
+            if u:  # conjugate by 1 - u E_(i, m+1): row i -= u row m+1, column m+1 += u column i
+                h[i] = [f.sub(x, f.mul(u, y)) for x, y in zip(h[i], h[m + 1])]
+                for row in h:
+                    row[m + 1] = f.add(row[m + 1], f.mul(u, row[i]))
+    minors = [[f.one]]
+    for k in range(n):
+        nxt = [f.zero] + minors[k]
+        for j, y in enumerate(minors[k]):
+            nxt[j] = f.sub(nxt[j], f.mul(h[k][k], y))
+        t = f.one
+        for i in range(k - 1, -1, -1):
+            t = f.mul(t, h[i + 1][i])
+            if not t:
+                break
+            c = f.mul(h[i][k], t)
+            if c:
+                for j, y in enumerate(minors[i]):
+                    nxt[j] = f.sub(nxt[j], f.mul(c, y))
+        minors.append(nxt)
+    return minors[n]
+
+
+def _roots(f: Field, c) -> list:
+    """The distinct roots in GF(p) of a nonzero polynomial, in increasing order.
+
+    Small fields are tried element by element.  Otherwise g = gcd(c, x^p - x)
+    has one linear factor per root, and g is split by gcd(g, (x + a)^((p-1)/2) - 1)
+    for a = 0, 1, ...: for roots r != s, r + a and s + a differ in quadratic
+    character for (p - 1)/2 values of a, so some a splits g."""
+    if f.p <= len(c):  # trying every element costs no more than one product
+        return [x for x in f.elements() if not _poly_eval(f, c, x)]
+    xp = _poly_powmod(f, [f.zero, f.one], f.p, c) + [f.zero, f.zero]
+    xp[1] = f.sub(xp[1], f.one)
+    found, todo = [], [_poly_gcd(f, c, _trim(xp))]
+    while todo:
+        g = todo.pop()
+        if len(g) == 2:
+            found.append(f.neg(g[0]))
+        elif len(g) > 2:
+            todo += _split(f, g)
+    return sorted(found)
+
+
+def _split(f: Field, g) -> list:
+    """Two monic factors of positive degree of ``g``, a product of at least
+    two distinct monic linear factors, over GF(p) with p odd."""
+    for a in f.elements():
+        w = _poly_powmod(f, [a, f.one], (f.p - 1) // 2, g) + [f.zero]
+        w[0] = f.sub(w[0], f.one)
+        d = _poly_gcd(f, g, _trim(w))
+        if 1 < len(d) < len(g):
+            return [d, _poly_divmod(f, g, d)[0]]
+    raise AssertionError("a product of distinct linear factors always splits")
+
+
+# Polynomials are coefficient lists, lowest degree first; _trim drops zero
+# leading coefficients, and every divisor has a nonzero leading one.
+
+def _trim(c) -> list:
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _poly_eval(f: Field, c, x):
+    acc = f.zero
+    for y in reversed(c):
+        acc = f.add(f.mul(acc, x), y)
+    return acc
+
+
+def _poly_mul(f: Field, a, b) -> list:
+    out = [f.zero] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = f.add(out[i + j], f.mul(x, y))
+    return out
+
+
+def _poly_divmod(f: Field, a, b):
+    """Quotient and trimmed remainder of a by b."""
+    r = list(a)
+    inv = f.inv(b[-1])
+    q = [f.zero] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = f.mul(r[k + len(b) - 1], inv)
+        if c:
+            for j, y in enumerate(b):
+                r[k + j] = f.sub(r[k + j], f.mul(c, y))
+    return q, _trim(r[:len(b) - 1])
+
+
+def _poly_powmod(f: Field, a, e: int, m) -> list:
+    """a^e modulo m, trimmed."""
+    out, a = _poly_divmod(f, [f.one], m)[1], _poly_divmod(f, a, m)[1]
+    while e:
+        if e & 1:
+            out = _poly_divmod(f, _poly_mul(f, out, a), m)[1]
+        a = _poly_divmod(f, _poly_mul(f, a, a), m)[1]
+        e >>= 1
+    return out
+
+
+def _poly_gcd(f: Field, a, b) -> list:
+    """Monic gcd of a and b; a nonzero."""
+    while b:
+        a, b = b, _poly_divmod(f, a, b)[1]
+    inv = f.inv(a[-1])
+    return [f.mul(inv, x) for x in a]
+
+
 class GrowingSpan:
     """Mutable forward-eliminated row store for closure loops.
 

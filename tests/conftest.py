@@ -49,10 +49,26 @@ def on_random_basis(l, rng):
         g = Matrix.from_columns(f, cols)
         if rref(g)[1] == l.dim:
             break
+    old_basis = [solve(g, l.basis_vector(i)) for i in range(l.dim)]
+    g_inv = Matrix.from_columns(f, old_basis)
     table = {}
     for i in range(l.dim):
         for j in range(i + 1, l.dim):
-            coords = solve(g, l.bracket(cols[i], cols[j]))
+            coords = g_inv.apply(l.bracket(cols[i], cols[j]))
             table[(i, j)] = [(k, c) for k, c in enumerate(coords) if c]
-    old_basis = [solve(g, l.basis_vector(i)) for i in range(l.dim)]
     return LieAlgebra(f, l.names, table), old_basis
+
+
+def over_quadratic_extension(l, d):
+    """``l`` tensored with GF(p^2) = GF(p)[i]/(i^2 - d), d a non-square, as
+    an algebra over GF(p): basis b_k, then i b_k.  Every ad(x) - lambda*1 is
+    GF(p^2)-linear, so each of its kernels has even dimension over GF(p)."""
+    f, n = l.field, l.dim
+    table = {}
+    for a in range(2 * n):
+        for b in range(a + 1, 2 * n):
+            coords = l.bracket(l.basis_vector(a % n), l.basis_vector(b % n))
+            scale = d if a >= n and b >= n else 1           # i * i = d
+            shift = n if (a >= n) != (b >= n) else 0        # one factor i
+            table[(a, b)] = [(k + shift, f.mul(scale, c)) for k, c in enumerate(coords) if c]
+    return LieAlgebra(f, list(l.names) + ["i" + s for s in l.names], table)

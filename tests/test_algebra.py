@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -23,9 +24,9 @@ from lieext import (
     subalgebra_closure,
     to_json,
 )
-from lieext.linalg import Matrix, vec_add, vec_is_zero, vec_sub
+from lieext.linalg import Matrix, kernel, vec_add, vec_is_zero, vec_sub
 
-from conftest import rand_vec
+from conftest import over_quadratic_extension, on_random_basis, rand_vec
 
 ALL_BUILTINS = [
     ("sl2", 5), ("sl2", 7), ("sl2", 0),
@@ -241,6 +242,46 @@ def test_subalgebra_closure_examples(witt5):
     assert subalgebra_closure(witt5, [witt5.zero()]).dim == 0
 
 
+def _pairwise_closure(l, gens):
+    """Subalgebra closure by a pairwise-bracket worklist: every vector added
+    is bracketed against all earlier ones once."""
+    pool, span = [], Subspace.span(l.field, l.dim, [])
+    for v in gens:
+        if not span.contains(v):
+            span = Subspace.span(l.field, l.dim, span.basis + (v,))
+            pool.append(v)
+    idx = 0
+    while idx < len(pool):
+        for v in pool[: idx + 1]:
+            w = l.bracket(pool[idx], v)
+            if not span.contains(w):
+                span = Subspace.span(l.field, l.dim, span.basis + (w,))
+                pool.append(w)
+        idx += 1
+    return span
+
+
+@pytest.mark.parametrize("name, p", [
+    ("sl3", 7), ("sl4", 5), ("witt5", 5), ("wittext5", 5), ("heisenberg", 5),
+])
+def test_subalgebra_closure_matches_pairwise_brackets(name, p, rng):
+    l = builtin(name, p)
+    for size in (1, 2, 3, 4):
+        for _ in range(3):
+            gens = [rand_vec(l.field, l.dim, rng) for _ in range(size)]
+            if size > 1 and rng.random() < 0.5:  # sparse generators give small subalgebras
+                gens = [l.basis_vector(rng.randrange(l.dim)) for _ in range(size)]
+            assert subalgebra_closure(l, gens) == _pairwise_closure(l, gens)
+
+
+def test_subalgebra_closure_known_values():
+    sl3 = builtin("sl3", 7)
+    e12, e21 = (sl3.basis_vector(sl3.names.index(n)) for n in ("E12", "E21"))
+    assert subalgebra_closure(sl3, [e12, e21]).dim == 3
+    sl2 = builtin("sl2", 5)
+    assert subalgebra_closure(sl2, [sl2.basis_vector(0), sl2.basis_vector(1)]).dim == 3
+
+
 def test_closure_properties(rng):
     l = builtin("sl3", 7)
     for _ in range(10):
@@ -307,12 +348,66 @@ def test_is_simple_size_cap():
         is_simple(builtin("sl4", 7))  # 7^15 points is far too many
 
 
-def test_meataxe_agrees_with_exhaustive_certification(witt5, wittext5):
-    for l in (witt5, builtin("sl2", 5), builtin("sl2", 7)):
+def test_meataxe_agrees_with_exhaustive_certification(witt5, wittext5, rng):
+    def rebased(l):
+        return on_random_basis(l, rng)[0]
+
+    sl2 = builtin("sl2", 5)
+    for l in (witt5, sl2, builtin("sl2", 7), rebased(witt5), rebased(sl2)):
         assert meataxe_simple(l).simple == is_simple(l).simple is True
-    for l in (wittext5, builtin("heisenberg", 5)):
+    for l in (wittext5, builtin("heisenberg", 5), rebased(wittext5)):
         v = meataxe_simple(l)
         assert not v.simple and not is_simple(l).simple
+        _assert_proper_ideal(l, v.witness_ideal)
+
+
+@pytest.mark.parametrize("n, p", [(4, 5), (4, 7), (5, 7), (6, 5)])
+@pytest.mark.parametrize("basis", ["standard", "random"])
+def test_shifted_meataxe_reaches_nullity_one_on_sl_n(n, p, basis):
+    # ker ad(x) holds a Cartan subalgebra, so unshifted kernels have nullity
+    # at least n - 1; ad(x) - lambda*1 at a simple eigenvalue has nullity 1.
+    from lieext.algebra import _sl
+
+    l = _sl(Field(p), n)
+    if basis == "random":
+        l = on_random_basis(l, random.Random(100 * n + p))[0]
+    v = meataxe_simple(l)
+    assert v.simple and v.witness_ideal is None
+    assert v.detail == "kernel lines of a nullity-1 operator generate the module and its dual"
+
+
+def test_shift_search_on_large_fields():
+    # the shifts are the F_p-roots of each candidate's characteristic
+    # polynomial, so p never has to be enumerated
+    for p in (1009, 2**31 - 1):
+        assert meataxe_simple(builtin("sl3", p)).detail == \
+            "kernel lines of a nullity-1 operator generate the module and its dual"
+
+
+@pytest.mark.parametrize("n, p, d", [(2, 3, 2), (2, 5, 2), (3, 7, 3)])
+def test_meataxe_over_a_quadratic_extension(n, p, d, monkeypatch):
+    # sl_n(F_(p^2)) over F_p is simple but no kernel has odd nullity; the
+    # search computes kernels only at eigenvalues, so none of them is zero
+    from lieext import algebra
+    from lieext.algebra import _sl
+
+    l = over_quadratic_extension(_sl(Field(p), n), d)
+    nullities = []
+
+    def recording_kernel(m):  # the search's kernels are the square ones
+        ker = kernel(m)
+        if m.rows == m.cols:
+            nullities.append(ker.dim)
+        return ker
+
+    monkeypatch.setattr(algebra, "kernel", recording_kernel)
+    v = meataxe_simple(l)
+    assert v.simple and v.detail == \
+        "kernel lines of a nullity-2 operator generate the module and its dual"
+    assert nullities and 0 not in nullities
+    if p ** l.dim <= 10**5:
+        monkeypatch.undo()
+        assert is_simple(l).simple
 
 
 def test_meataxe_on_larger_algebras():

@@ -364,8 +364,11 @@ BOUNDARY_CASES = {
     "cert span degree in Arabic-Indic digits": (lambda t: ["cert", _cert(
         t, "symbols X\nassert span(\u0663) == 1\n")], "malformed assert line"),
     "cert rewrite past the step limit": (lambda t: ["cert", _cert(
-        t, "symbols X Y\nrule X^2 -> X + Y\nassert reduce(X^64) == 0\n")],
+        t, "symbols A B C D\nchar in {5}\nrule D -> A + B + C\nassert reduce(D^12) == 0\n")],
         "more than 100000 rewrite steps"),
+    "cert rewrite past the letter limit": (lambda t: ["cert", _cert(
+        t, "symbols X Y\nrule Y*X -> X*Y\nassert reduce(Y*((X^50)^40)^2) == 0\n")],
+        "writes more than 10000000 terms plus letters"),
     "cert huge guard": (lambda t: ["cert", _cert(
         t, f"symbols X\nchar in {{{BIG_PRIME}}}\nassert reduce(X) == X\n")],
         "no admissible characteristic"),

@@ -214,6 +214,50 @@ def test_reduce_leftmost_position_wins(xy):
     assert reduce_poly(xy.word(("Y", "X", "Y")), rules) == xy.parse("X*Y")
 
 
+def _reduce_termwise(p, rules):
+    """Reference reduction: each term rewritten on its own, left to right,
+    rules in list order at each position, summed only at the end."""
+    stack, out = list(p.terms.items()), p.algebra.zero()
+    while stack:
+        word, coeff = stack.pop()
+        hit = next(((pos, r) for pos in range(len(word)) for r in rules
+                    if word[pos:pos + len(r.lhs)] == r.lhs), None)
+        if hit is None:
+            out = out + coeff * p.algebra.word(word)
+            continue
+        pos, r = hit
+        stack.extend((word[:pos] + w + word[pos + len(r.lhs):], coeff * c)
+                     for w, c in r.rhs.terms.items())
+    return out
+
+
+def test_reduce_matches_termwise_rewriting(rng):
+    a = FreeAlgebra(Field(7), ("X", "Y", "Z"))
+
+    def random_word(length):
+        return tuple(rng.choice(a.alphabet) for _ in range(length))
+
+    def random_poly(words):
+        return sum((rng.randint(1, 6) * a.word(w) for w in words), a.zero())
+
+    for _ in range(60):
+        rules = []
+        for _ in range(rng.randint(1, 4)):
+            lhs = random_word(rng.randint(1, 3))
+            smaller = [w for w in (random_word(rng.randint(0, len(lhs))) for _ in range(6))
+                       if a.word_key(w) < a.word_key(lhs)]
+            rules.append(RewriteRule(a, lhs, random_poly(smaller[:rng.randint(0, 3)])))
+        p = random_poly(random_word(rng.randint(0, 7)) for _ in range(rng.randint(0, 5)))
+        assert reduce_poly(p, rules) == _reduce_termwise(p, rules)
+
+
+def test_reduce_merges_like_words_before_rewriting(xy):
+    # termwise, X^n takes a Fibonacci number of steps; merged, about n^2/4
+    rules = [RewriteRule(xy, ("X", "X"), xy.parse("X + Y"))]
+    assert reduce_poly(xy.parse("X^16"), rules) == _reduce_termwise(xy.parse("X^16"), rules)
+    assert len(reduce_poly(xy.parse("X^64"), rules).terms) == 64
+
+
 def test_reduce_is_linear_and_idempotent(xy, rng):
     rules = [
         RewriteRule(xy, ("X", "X"), xy.zero()),

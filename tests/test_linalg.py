@@ -3,7 +3,7 @@ import random
 import pytest
 
 from lieext import Field, Matrix, ShapeError, Subspace, eigenspace, kernel, rref, solve
-from lieext.linalg import GrowingSpan, vec_add, vec_scale
+from lieext.linalg import GrowingSpan, _charpoly, eigenvalues, vec_add, vec_scale
 
 from conftest import rand_vec
 
@@ -106,6 +106,57 @@ def test_eigenspace_vectors_satisfy_definition(gf7, rng):
         lam = gf7.random(rng)
         for v in eigenspace(a, lam).basis:
             assert a.apply(v) == vec_scale(gf7, lam, v)
+
+
+def _conjugate(a, rng):
+    """g a g^-1 for a random invertible g."""
+    f, n = a.field, a.rows
+    while True:
+        g = Matrix.from_rows(f, [rand_vec(f, n, rng) for _ in range(n)])
+        if rref(g)[1] == n:
+            break
+    g_inv = Matrix.from_columns(f, [solve(g, tuple(int(i == j) for i in range(n))) for j in range(n)])
+    return g.mul(a).mul(g_inv)
+
+
+def test_charpoly_of_conjugated_companion_matrix(rng):
+    # the companion matrix of a monic c has characteristic polynomial c
+    for f in (Field(2), Field(7), Field(101)):
+        for n in range(1, 7):
+            c = [f.random(rng) for _ in range(n)] + [f.one]
+            rows = [[int(i == j + 1) for j in range(n - 1)] + [f.neg(c[i])] for i in range(n)]
+            a = _conjugate(mat(f, rows), rng)
+            assert _charpoly(a) == c
+
+
+def test_eigenvalues_are_the_singular_shifts(rng):
+    for f in (Field(2), Field(3), Field(7)):
+        for _ in range(30):
+            n = rng.randint(1, 6)
+            a = Matrix.from_rows(f, [rand_vec(f, n, rng) for _ in range(n)])
+            assert eigenvalues(a) == [lam for lam in f.elements()
+                                      if eigenspace(a, lam).dim > 0]
+
+
+def test_eigenvalues_of_planted_spectra(rng):
+    # a conjugated triangular matrix has its diagonal as spectrum; past
+    # p = n + 1 the roots come from gcd(charpoly, x^p - x), not enumeration
+    for f in (Field(3), Field(11), Field(1009), Field(2**31 - 1)):
+        for _ in range(12):
+            n = rng.randint(1, 7)
+            spectrum = [f.random(rng) for _ in range(rng.randint(1, 3))]
+            diag = [rng.choice(spectrum) for _ in range(n)]
+            rows = [[diag[i] if i == j else (f.random(rng) if i < j else 0)
+                     for j in range(n)] for i in range(n)]
+            assert eigenvalues(_conjugate(mat(f, rows), rng)) == sorted(set(diag))
+
+
+def test_eigenvalues_outside_the_prime_field(gf7):
+    # x^2 - 3 is irreducible over GF(7): the rotation has no eigenvalue there
+    assert eigenvalues(mat(gf7, [[0, 3], [1, 0]])) == []
+    assert eigenvalues(mat(Field(101), [[0, 2], [1, 0]])) == []
+    with pytest.raises(ShapeError):
+        eigenvalues(mat(gf7, [[1, 2]]))
 
 
 def test_rank_nullity(rng):
