@@ -1,10 +1,10 @@
 """Structure-constant Lie algebras over an exact field.
 
-An algebra is a sparse tensor ``[b_i, b_j] = sum_k c * b_k`` stored only for
-``i < j``; antisymmetry is structural.  The module also provides the span
-machinery built on top of the bracket (subalgebra and ideal closures, center,
-derived algebra, simplicity checks, quotients), the builtin test algebras,
-and the canonical JSON file format.
+An algebra is a sparse tensor ``[b_i, b_j] = sum_k c * b_k``, given for
+``i < j`` and stored once in both orders; antisymmetry is structural.  The
+module also provides the span machinery built on top of the bracket
+(subalgebra and ideal closures, center, derived algebra, simplicity checks,
+quotients), the builtin test algebras, and the canonical JSON file format.
 """
 
 from __future__ import annotations
@@ -44,12 +44,14 @@ class LieAlgebra:
     """Finite-dimensional algebra given by structure constants.
 
     ``table`` maps ``(i, j)`` with ``i < j`` to a tuple of ``(k, coeff)``
-    terms sorted by ``k``; absent pairs bracket to zero.  Instances are
+    terms sorted by ``k``; absent pairs bracket to zero.  ``_rows[i]`` maps
+    each ``j`` with a nonzero [b_i, b_j] to its terms, in both orders, so
+    the i > j half is negated once, here.  Instances are
     immutable; the Jacobi identity is checked by :meth:`validate`, not at
     construction, so that broken tensors can be loaded and reported on.
     """
 
-    __slots__ = ("field", "names", "table")
+    __slots__ = ("field", "names", "table", "_rows")
 
     def __init__(self, field: Field, names, table):
         self.field = field
@@ -71,6 +73,11 @@ class LieAlgebra:
             if cleaned:
                 canon[(i, j)] = cleaned
         self.table = canon
+        rows = [{} for _ in range(n)]
+        for (i, j), terms in sorted(canon.items()):
+            rows[i][j] = terms
+            rows[j][i] = tuple((k, field.neg(c)) for k, c in terms)
+        self._rows = rows
 
     @property
     def dim(self) -> int:
@@ -90,15 +97,6 @@ class LieAlgebra:
             raise ShapeError(f"vector of length {len(v)} in a {self.dim}-dimensional algebra")
         return tuple(self.field.of(c) for c in v)
 
-    def basis_terms(self, i: int, j: int):
-        """Sparse terms of [b_i, b_j] for any index pair."""
-        if i == j:
-            return ()
-        if i < j:
-            return self.table.get((i, j), ())
-        f = self.field
-        return tuple((k, f.neg(c)) for k, c in self.table.get((j, i), ()))
-
     def bracket(self, u, v):
         """[u, v], bilinear extension of the structure tensor."""
         if len(u) != self.dim or len(v) != self.dim:
@@ -108,19 +106,25 @@ class LieAlgebra:
         for i, ui in enumerate(u):
             if not ui:
                 continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                s = f.mul(ui, vj)
-                for k, c in self.basis_terms(i, j):
-                    out[k] = f.add(out[k], f.mul(s, c))
+            for j, terms in self._rows[i].items():
+                if v[j]:
+                    s = f.mul(ui, v[j])
+                    for k, c in terms:
+                        out[k] = f.add(out[k], f.mul(s, c))
         return tuple(out)
 
     def ad(self, x) -> Matrix:
-        """Matrix of ad_x = [x, .] with columns [x, b_j]."""
+        """Matrix of ad_x = [x, .]: column j is sum_i x_i [b_i, b_j]."""
         x = self.check_vector(x)
-        cols = [self.bracket(x, self.basis_vector(j)) for j in range(self.dim)]
-        return Matrix(self.field, self.dim, self.dim, tuple(zip(*cols)))
+        f = self.field
+        data = [[f.zero] * self.dim for _ in range(self.dim)]
+        for i, xi in enumerate(x):
+            if not xi:
+                continue
+            for j, terms in self._rows[i].items():
+                for k, c in terms:
+                    data[k][j] = f.add(data[k][j], f.mul(xi, c))
+        return Matrix(f, self.dim, self.dim, tuple(map(tuple, data)))
 
     def validate(self) -> "ValidationReport":
         """Exhaustive Jacobi check over all basis triples i < j < k."""
@@ -191,9 +195,8 @@ def center(l: LieAlgebra) -> Subspace:
 
 
 def derived(l: LieAlgebra) -> Subspace:
-    """Span of all brackets of basis pairs."""
-    vecs = [l.bracket(l.basis_vector(i), l.basis_vector(j))
-            for i in range(l.dim) for j in range(i + 1, l.dim)]
+    """Span of the brackets of the basis pairs in the table."""
+    vecs = [l.bracket(l.basis_vector(i), l.basis_vector(j)) for i, j in l.table]
     return Subspace.span(l.field, l.dim, vecs)
 
 
@@ -335,19 +338,15 @@ def quotient_action(l: LieAlgebra, s: Subspace, actors) -> list:
     """
     if s.ambient != l.dim:
         raise ShapeError("subspace ambient dimension does not match the algebra")
-    actors = [l.check_vector(a) for a in actors]
-    for a in actors:
-        for row in s.basis:
-            if not s.contains(l.bracket(a, row)):
-                raise InvarianceError("actor does not preserve the subspace")
     comp = complement_indices(s)
     out = []
     for a in actors:
-        cols = []
-        for j in comp:
-            r = s.reduce(l.bracket(a, l.basis_vector(j)))
-            cols.append(tuple(r[c] for c in comp))
-        out.append(Matrix.from_columns(l.field, cols))
+        m = l.ad(a)
+        if not all(s.contains(m.apply(row)) for row in s.basis):
+            raise InvarianceError("actor does not preserve the subspace")
+        cols = m.transpose().data
+        reduced = [s.reduce(cols[j]) for j in comp]
+        out.append(Matrix.from_columns(l.field, [tuple(r[c] for c in comp) for r in reduced]))
     return out
 
 

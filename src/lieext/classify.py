@@ -144,7 +144,7 @@ class WittIsoReport:
     span_equals_algebra: bool
 
 
-def witt_recognize(l: LieAlgebra, t: Sl2Triple, v, simple=None) -> WittIsoReport:
+def witt_recognize(l: LieAlgebra, t: Sl2Triple, v) -> WittIsoReport:
     """Verify the sixteen multiplication rules on the spanning set built
     from v, decide between the Witt algebra and its central extension, and
     produce the bracket-preserving basis map onto the builtin model."""
@@ -212,9 +212,6 @@ def witt_recognize(l: LieAlgebra, t: Sl2Triple, v, simple=None) -> WittIsoReport
                     f"basis map does not preserve the bracket on pair ({a}, {b})")
 
     span_all = span.dim == l.dim
-    if simple and not span_all:
-        raise ContradictionError(
-            "the recognized subalgebra is proper although the algebra is simple")
     phi = tuple((SPANNING_LABELS[k], format_vector(mf, images[k])) for k in range(len(active)))
     return WittIsoReport(target_name, spanning, tuple(check.names), phi, span_all)
 
@@ -302,7 +299,6 @@ def classify_theorem_main(l: LieAlgebra, x, assume_simple: bool = False) -> Clas
 
     if assume_simple:
         simplicity_mode, simplicity_detail = "assumed", "simplicity assumed by caller"
-        certified_simple = None
     else:
         try:
             verdict = meataxe_simple(l)
@@ -311,7 +307,6 @@ def classify_theorem_main(l: LieAlgebra, x, assume_simple: bool = False) -> Clas
         if not verdict.simple:
             raise HypothesisError(f"the algebra is not simple ({verdict.detail})")
         simplicity_mode, simplicity_detail = "certified", verdict.detail
-        certified_simple = True
 
     w = find_witness(l, status.functional)
     triple, _ = complete_sl2(l, x, w)
@@ -334,7 +329,10 @@ def classify_theorem_main(l: LieAlgebra, x, assume_simple: bool = False) -> Clas
         note=outcome.note,
     )
     if outcome.branch == "exceptional":
-        iso = witt_recognize(l, triple, outcome.v, simple=certified_simple)
+        iso = witt_recognize(l, triple, outcome.v)
+        if not assume_simple and not iso.span_equals_algebra:
+            raise ContradictionError(
+                "the recognized subalgebra is proper although the algebra is simple")
         return ClassificationReport(verdict=VERDICT_WITT, iso=iso, **common)
 
     certificates = [extremal_from_L1(l, triple, grading, z)

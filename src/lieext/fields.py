@@ -50,7 +50,7 @@ def is_prime(n: int) -> bool:
 class Field:
     """GF(p) when ``characteristic`` is a prime, the rationals when it is 0."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "zero", "one")
 
     def __init__(self, characteristic: int):
         if characteristic != 0:
@@ -59,6 +59,8 @@ class Field:
             if not is_prime(characteristic):
                 raise DomainError(f"characteristic must be 0 or prime, got {characteristic}")
         self.p = characteristic
+        self.zero = 0 if characteristic else Fraction(0)
+        self.one = 1 if characteristic else Fraction(1)
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
@@ -74,14 +76,6 @@ class Field:
             raise FieldMismatch(f"mixed fields: {self} vs {other}")
 
     # -- construction -------------------------------------------------
-
-    @property
-    def zero(self):
-        return 0 if self.p else Fraction(0)
-
-    @property
-    def one(self):
-        return 1 if self.p else Fraction(1)
 
     def of(self, value) -> "int | Fraction":
         """Canonicalize an int (or Fraction, over the rationals) into the field."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import re
-from itertools import chain
+from itertools import chain, groupby
 
 from .errors import CapabilityError, DomainError, ParseError
 from .fields import Field
@@ -189,14 +189,8 @@ def _collect(algebra: FreeAlgebra, pairs) -> FreePoly:
 
 
 def _format_word(w) -> str:
-    if not w:
-        return ""
-    runs = []
-    for s in w:
-        if runs and runs[-1][0] == s:
-            runs[-1][1] += 1
-        else:
-            runs.append([s, 1])
+    """Runs of a letter as powers: ("X", "X", "Y") -> "X^2*Y"."""
+    runs = ((s, len(list(run))) for s, run in groupby(w))
     return "*".join(s if n == 1 else f"{s}^{n}" for s, n in runs)
 
 

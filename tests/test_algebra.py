@@ -102,12 +102,22 @@ def test_builtin_rejects_bad_characteristics():
         builtin("nosuch", 5)
 
 
+def dense(l, terms):
+    """The vector of ``l`` with the given sparse ``(k, coeff)`` terms."""
+    out = [l.field.zero] * l.dim
+    for k, c in terms:
+        out[k] = c
+    return tuple(out)
+
+
 def test_witt5_table_against_derivation_oracle(witt5, wittext5):
     for l, extended in ((witt5, False), (wittext5, True)):
         exps = [0, 1, 2, 3, 4] + ([6] if extended else [])
+        d = l.basis_vector
         for a in range(l.dim):
-            for b in range(a + 1, l.dim):
-                assert l.basis_terms(a, b) == witt_oracle_terms(exps[a], exps[b], extended)
+            for b in range(l.dim):
+                expected = dense(l, witt_oracle_terms(exps[a], exps[b], extended))
+                assert l.bracket(d(a), d(b)) == expected
 
 
 def test_witt5_spot_values(witt5, wittext5):
@@ -121,27 +131,25 @@ def test_witt5_spot_values(witt5, wittext5):
 
 
 def test_witt_tables_differ_only_at_top_pair(witt5, wittext5):
+    d, e = witt5.basis_vector, wittext5.basis_vector
     for a in range(5):
         for b in range(a + 1, 5):
-            ours = witt5.basis_terms(a, b)
-            theirs = tuple((k, c) for k, c in wittext5.basis_terms(a, b) if k < 5)
+            ours = witt5.bracket(d(a), d(b))
+            theirs = wittext5.bracket(e(a), e(b))
             if (a, b) == (3, 4):
-                assert ours == () and wittext5.basis_terms(a, b) == ((5, 1),)
+                assert vec_is_zero(ours) and theirs == e(5)
             else:
-                assert ours == theirs
+                assert ours + (0,) == theirs
 
 
 def test_sl3_table_against_matrix_commutator_oracle():
     for p in (5, 7):
         l = builtin("sl3", p)
-        mats, commute, expand, field = sl_matrix_oracle(3, p)
+        mats, commute, expand, _ = sl_matrix_oracle(3, p)
         for a in range(l.dim):
-            for b in range(a + 1, l.dim):
+            for b in range(l.dim):
                 expected = expand(commute(mats[a], mats[b]))
-                got = [field.zero] * l.dim
-                for k, c in l.basis_terms(a, b):
-                    got[k] = c
-                assert tuple(got) == expected
+                assert l.bracket(l.basis_vector(a), l.basis_vector(b)) == expected
 
 
 def test_sl2_defining_relations():
@@ -163,6 +171,30 @@ def test_bracket_is_alternating_and_antisymmetric(rng):
             assert vec_is_zero(l.bracket(u, u))
             neg = tuple(l.field.neg(c) for c in l.bracket(v, u))
             assert l.bracket(u, v) == neg
+
+
+def table_bracket(l, u, v):
+    """[u, v] from the i < j table alone, antisymmetry applied here."""
+    f = l.field
+    out = [f.zero] * l.dim
+    for (i, j), terms in l.table.items():
+        s = f.sub(f.mul(u[i], v[j]), f.mul(u[j], v[i]))
+        for k, c in terms:
+            out[k] = f.add(out[k], f.mul(s, c))
+    return tuple(out)
+
+
+def test_bracket_and_ad_against_table_oracle(rng):
+    for name, p in (("sl3", 7), ("witt5", 5), ("wittext5", 5), ("sl2", 0)):
+        l, _ = on_random_basis(builtin(name, p), rng)
+        for _ in range(5):
+            u = rand_vec(l.field, l.dim, rng)
+            v = rand_vec(l.field, l.dim, rng)
+            assert l.bracket(u, v) == table_bracket(l, u, v)
+            m = l.ad(u)
+            for j in range(l.dim):
+                column = tuple(row[j] for row in m.data)
+                assert column == table_bracket(l, u, l.basis_vector(j))
 
 
 def test_ad_diagonal_on_witt5(witt5):
@@ -460,6 +492,18 @@ def test_meataxe_finds_ideals_past_the_prelude(make, p, ideal_dim):
     reference = is_simple(l)
     assert not reference.simple
     _assert_proper_ideal(l, reference.witness_ideal)
+
+
+@pytest.mark.parametrize("table, detail, witness", [
+    ({}, "abelian algebra", None),
+    ({(0, 1): [(1, 1)]}, "derived algebra is proper", [(0, 1)]),    # [a, b] = b
+])
+def test_structural_verdicts(table, detail, witness):
+    l = LieAlgebra(Field(5), ("a", "b"), table)
+    expected = None if witness is None else Subspace.span(l.field, 2, witness)
+    for verdict in (is_simple(l), meataxe_simple(l)):
+        assert not verdict.simple and verdict.detail == detail
+        assert verdict.witness_ideal == expected
 
 
 # -- quotients ----------------------------------------------------------------

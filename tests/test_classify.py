@@ -226,7 +226,7 @@ def test_witt_recognize_on_witt5(witt5):
     x = (0, 0, f.of(-1), 0, 0)
     triple, grading = pipeline(witt5, x)
     res = dichotomy(witt5, triple, grading)
-    iso = witt_recognize(witt5, triple, res.v, simple=True)
+    iso = witt_recognize(witt5, triple, res.v)
     assert iso.target == "W"
     assert iso.spanning[3] == (0, 0, 0, 0, 2)      # v = 2 z^4 Dz
     assert iso.spanning[4] == (0, 0, 0, 2, 0)      # [v, y] = 2 z^3 Dz
@@ -261,7 +261,7 @@ def test_witt_recognize_rescaled_input(witt5):
         x = vec_scale(f, f.of(lam), (0, 0, f.of(-1), 0, 0))
         triple, grading = pipeline(witt5, x)
         res = dichotomy(witt5, triple, grading)
-        iso = witt_recognize(witt5, triple, res.v, simple=True)
+        iso = witt_recognize(witt5, triple, res.v)
         assert iso.target == "W"
 
 
@@ -291,6 +291,20 @@ def test_classify_witt5(witt5):
     assert rep.grading.dims() == {-2: 1, -1: 1, 0: 1, 1: 1, 2: 1}
     assert rep.iso.target == "W"
     assert rep.simplicity_mode == "certified"
+
+
+def test_certified_classify_falls_back_to_is_simple(witt5, monkeypatch):
+    # with no kernel line budget meataxe_simple gives up, and the pipeline
+    # certifies simplicity by enumeration instead
+    from lieext import algebra
+
+    monkeypatch.setattr(algebra, "MEATAXE_LINE_BUDGET", 0)
+    with pytest.raises(CapabilityError, match="small enough kernel"):
+        algebra.meataxe_simple(witt5)
+    rep = classify_theorem_main(witt5, (0, 0, 4, 0, 0))
+    assert rep.simplicity_mode == "certified"
+    assert rep.simplicity_detail == "every projective point generates"
+    assert rep.verdict == VERDICT_WITT
 
 
 def test_classify_sl3_regular_at_both_characteristics():

@@ -137,6 +137,8 @@ def test_print_parse_round_trip_on_certificate_corpus(xyv):
     for text in corpus:
         p = xyv.parse(text)
         assert xyv.parse(str(p)) == p
+    # Repeated and alternating runs, and the empty word, print exactly so.
+    assert str(xyv.parse("X*X*Y*X^3 - Y*X*Y*X + 1")) == "1/1 - Y*X*Y*X + X^2*Y*X^3"
 
 
 def test_print_parse_round_trip_random(rng):
