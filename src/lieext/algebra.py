@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, combinations, product
 
 from .errors import (
     CapabilityError,
@@ -29,7 +29,6 @@ from .linalg import (
     eigenvalues,
     kernel,
     unit_vec,
-    vec_add,
     vec_combine,
     vec_is_zero,
     zero_vec,
@@ -127,20 +126,18 @@ class LieAlgebra:
         return Matrix(f, self.dim, self.dim, tuple(map(tuple, data)))
 
     def validate(self) -> "ValidationReport":
-        """Exhaustive Jacobi check over all basis triples i < j < k."""
+        """Exhaustive Jacobi check over all basis triples i < j < k, read
+        from the stored constants: [[b_a, b_b], b_c] = sum_m c_ab^m [b_m, b_c]."""
+        f, rows = self.field, self._rows
         violations = []
-        for i in range(self.dim):
-            bi = self.basis_vector(i)
-            for j in range(i + 1, self.dim):
-                bj = self.basis_vector(j)
-                bij = self.bracket(bi, bj)
-                for k in range(j + 1, self.dim):
-                    bk = self.basis_vector(k)
-                    acc = self.bracket(bij, bk)
-                    acc = vec_add(self.field, acc, self.bracket(self.bracket(bj, bk), bi))
-                    acc = vec_add(self.field, acc, self.bracket(self.bracket(bk, bi), bj))
-                    if not vec_is_zero(acc):
-                        violations.append((i, j, k))
+        for i, j, k in combinations(range(self.dim), 3):
+            acc = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, s in rows[a].get(b, ()):
+                    for t, d in rows[m].get(c, ()):
+                        acc[t] = f.add(acc.get(t, f.zero), f.mul(s, d))
+            if any(acc.values()):
+                violations.append((i, j, k))
         return ValidationReport(tuple(violations))
 
 
@@ -189,9 +186,14 @@ def _adjoints(l: LieAlgebra) -> list:
 
 
 def center(l: LieAlgebra) -> Subspace:
-    """{v : [v, b_i] = 0 for all i}, the kernel of all adjoint actions."""
-    rows = tuple(row for m in _adjoints(l) for row in m.data)
-    return kernel(Matrix(l.field, len(rows), l.dim, rows))
+    """{v : [b_i, v] = 0 for all i}, the kernel of all adjoint actions: one
+    equation per nonzero row k of an ad(b_i), read from the stored constants."""
+    eqs = {}
+    for i, terms_of in enumerate(l._rows):
+        for j, terms in terms_of.items():
+            for k, c in terms:
+                eqs.setdefault((i, k), [l.field.zero] * l.dim)[j] = c
+    return kernel(Matrix(l.field, len(eqs), l.dim, tuple(map(tuple, eqs.values()))))
 
 
 def derived(l: LieAlgebra) -> Subspace:

@@ -1,9 +1,10 @@
 """Dense exact linear algebra over a :class:`~lieext.fields.Field`.
 
 Everything here is deliberately small: the algebras this package targets
-have dimension well under a hundred, so plain Gaussian elimination with
-deterministic pivoting (first nonzero entry in column order) is enough and
-keeps echelon forms canonical.  All values are immutable after construction.
+have dimension well under a hundred, so plain Gaussian elimination is
+enough.  One row reduction, :class:`GrowingSpan`, yields every echelon form,
+subspace, kernel and solution; they are canonical because a row space has
+exactly one reduced echelon basis.  Only a ``GrowingSpan`` is mutable.
 
 Scalars are canonicalized at the boundary only: the public builders
 ``Matrix.from_rows``, ``Matrix.from_columns`` and ``Subspace.span`` take
@@ -140,31 +141,17 @@ def _dot(field: Field, u, v):
 def rref(m: Matrix):
     """Reduced row-echelon form.
 
-    Returns ``(echelon, rank, pivot_cols)``.  Pivoting is deterministic
-    (first row with a nonzero entry in the current column), so the result
-    is the canonical representative of the row space.
+    Returns ``(echelon, rank, pivot_cols)``: the canonical basis of the row
+    space from :class:`GrowingSpan`, padded with zero rows to the shape of
+    ``m``.  A row space has exactly one reduced echelon basis, so the result
+    does not depend on how it was reached.
     """
-    f = m.field
-    rows = [list(r) for r in m.data]
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        if r == m.rows:
-            break
-        src = next((i for i in range(r, m.rows) if rows[i][c]), None)
-        if src is None:
-            continue
-        rows[r], rows[src] = rows[src], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, x) for x in rows[r]]
-        for i in range(m.rows):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    echelon = Matrix(f, m.rows, m.cols, tuple(tuple(row) for row in rows))
-    return echelon, len(pivots), tuple(pivots)
+    g = GrowingSpan(m.field, m.cols)
+    for row in m.data:
+        g.insert(row)
+    s = g.to_subspace()
+    padding = (zero_vec(m.field, m.cols),) * (m.rows - s.dim)
+    return Matrix(m.field, m.rows, m.cols, s.basis + padding), s.dim, s.pivots
 
 
 def solve(a: Matrix, b):
@@ -348,10 +335,12 @@ def _poly_gcd(f: Field, a, b) -> list:
 
 
 class GrowingSpan:
-    """Mutable forward-eliminated row store for closure loops.
+    """The one row reduction: a mutable span grown one vector at a time.
 
-    Cheaper than rebuilding a canonical :class:`Subspace` per insertion;
-    convert with :meth:`to_subspace` once the span stops growing."""
+    Accepted vectors are stored forward-eliminated, keyed by pivot column,
+    and insertion stops once the span is the whole space.
+    :meth:`to_subspace` back-substitutes them into the reduced echelon
+    basis, canonical because a span has only one."""
 
     __slots__ = ("field", "ambient", "rows")
 
@@ -366,6 +355,8 @@ class GrowingSpan:
 
     def insert(self, vec) -> bool:
         """Add a vector; returns True when it enlarged the span."""
+        if len(self.rows) == self.ambient:
+            return False
         f = self.field
         v = list(vec)
         for c in range(self.ambient):
@@ -399,7 +390,13 @@ class GrowingSpan:
         return self
 
     def to_subspace(self) -> "Subspace":
-        return Subspace.span(self.field, self.ambient, list(self.rows.values()))
+        """The reduced echelon basis: from the last pivot back, each row is
+        reduced against the rows after it, which are reduced already."""
+        f, n = self.field, self.ambient
+        s = Subspace(f, n, (), ())
+        for c in sorted(self.rows, reverse=True):
+            s = Subspace(f, n, (s.reduce(self.rows[c]),) + s.basis, (c,) + s.pivots)
+        return s
 
 
 class Subspace:
@@ -415,14 +412,13 @@ class Subspace:
 
     @classmethod
     def span(cls, field: Field, ambient: int, vectors) -> "Subspace":
-        vectors = [tuple(field.of(x) for x in v) for v in vectors]
+        g = GrowingSpan(field, ambient)
         for v in vectors:
+            v = tuple(field.of(x) for x in v)
             if len(v) != ambient:
                 raise ShapeError(f"vector of length {len(v)} in ambient dimension {ambient}")
-        if not vectors:
-            return cls(field, ambient, (), ())
-        ech, rank, pivots = rref(Matrix(field, len(vectors), ambient, tuple(vectors)))
-        return cls(field, ambient, ech.data[:rank], pivots)
+            g.insert(v)
+        return g.to_subspace()
 
     @property
     def dim(self) -> int:

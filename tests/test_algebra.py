@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -261,6 +262,52 @@ def test_mutated_witt5_fails_jacobi(witt5):
     assert all(i < j < k for i, j, k in report.violations)
 
 
+def jacobi_violations(l):
+    """The triples i < j < k with a nonzero Jacobi sum, from the i < j table
+    alone, antisymmetry applied here: [[b_a, b_b], b_c] = sum_m c_ab^m [b_m, b_c]."""
+    f = l.field
+
+    def basis_bracket(a, b):
+        terms = l.table.get((a, b)) if a < b else l.table.get((b, a))
+        out = [f.zero] * l.dim
+        for k, c in terms or ():
+            out[k] = c if a < b else f.neg(c)
+        return out
+
+    br = {(a, b): basis_bracket(a, b) for a in range(l.dim) for b in range(l.dim)}
+    violations = []
+    for i, j, k in combinations(range(l.dim), 3):
+        acc = [f.zero] * l.dim
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, s in enumerate(br[(a, b)]):
+                if s:
+                    acc = vec_add(f, acc, [f.mul(s, x) for x in br[(m, c)]])
+        if not vec_is_zero(acc):
+            violations.append((i, j, k))
+    return tuple(violations)
+
+
+def test_validate_against_jacobi_oracle(rng):
+    # seeded single-coefficient corruptions: validate must name exactly the
+    # triples the oracle does
+    broken = 0
+    for l in (builtin("sl3", 7), builtin("witt5", 5), on_random_basis(builtin("sl4", 5), rng)[0]):
+        f = l.field
+        assert l.validate().violations == jacobi_violations(l) == ()
+        for _ in range(4):
+            i, j = sorted(rng.sample(range(l.dim), 2))
+            k = rng.randrange(l.dim)
+            terms = dict(l.table.get((i, j), ()))
+            terms[k] = f.add(terms.get(k, f.zero), rng.randrange(1, f.p))
+            table = dict(l.table)
+            table[(i, j)] = list(terms.items())
+            corrupt = LieAlgebra(f, l.names, table)
+            expected = jacobi_violations(corrupt)
+            assert corrupt.validate().violations == expected
+            broken += bool(expected)
+    assert broken >= 10
+
+
 # -- closures ---------------------------------------------------------------
 
 def test_subalgebra_closure_examples(witt5):
@@ -358,6 +405,18 @@ def test_center_and_derived(witt5, wittext5):
     assert derived(l) == Subspace.span(l.field, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     h = builtin("heisenberg", 5)
     assert derived(h).dim == 1
+
+
+def test_simplicity_builds_each_basis_adjoint_once(monkeypatch):
+    # the centre is read from the stored constants, so the closures' ad(b_i)
+    # are the only adjoints built
+    calls = []
+    ad = LieAlgebra.ad
+    monkeypatch.setattr(LieAlgebra, "ad", lambda self, x: calls.append(x) or ad(self, x))
+    for certify, l in ((meataxe_simple, builtin("sl3", 7)), (is_simple, builtin("sl2", 5))):
+        calls.clear()
+        assert certify(l).simple
+        assert calls == [l.basis_vector(i) for i in range(l.dim)]
 
 
 def test_is_simple_certified(witt5, wittext5):

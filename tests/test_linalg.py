@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from lieext import Field, Matrix, ShapeError, Subspace, eigenspace, kernel, rref, solve
-from lieext.linalg import GrowingSpan, _charpoly, eigenvalues, vec_add, vec_scale
+from lieext.linalg import (GrowingSpan, _charpoly, eigenvalues, vec_add, vec_combine,
+                           vec_scale)
 
 from conftest import rand_vec
 
@@ -32,23 +34,73 @@ def test_rref_identity_and_zero(gf7):
     assert ech == z and rank == 0
 
 
-def test_rref_idempotent_and_canonical(gf5, rng):
-    # two row-equivalent matrices echelonize identically
-    for _ in range(25):
-        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        a = mat(gf5, [[rng.randrange(5) for _ in range(cols)] for _ in range(rows)])
-        ech, _, _ = rref(a)
+def _sympy_matrix(a):
+    """``a`` as a sympy ``DomainMatrix`` over GF(p) or QQ."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    dom = sympy.GF(a.field.p) if a.field.p else sympy.QQ
+    to_dom = dom if a.field.p else (lambda x: dom(x.numerator, x.denominator))
+    return DomainMatrix([[to_dom(x) for x in row] for row in a.data], (a.rows, a.cols), dom)
+
+
+def _from_sympy(field, dm):
+    def back(x):
+        return field.of(int(x)) if field.p else Fraction(int(x.numerator), int(x.denominator))
+
+    rows = tuple(tuple(back(x) for x in row) for row in dm.to_list())
+    return Matrix(field, len(rows), dm.shape[1], rows)
+
+
+def _oracle_rref(a):
+    """Reduced echelon rows and pivot columns of ``a`` from sympy's
+    ``DomainMatrix.rref``, zero rows dropped."""
+    ech, pivots = _sympy_matrix(a).rref()
+    return _from_sympy(a.field, ech).data[:len(pivots)], tuple(pivots)
+
+
+def _oracle_kernel(a):
+    """The reduced echelon basis of sympy's null space of ``a``."""
+    return _oracle_rref(_from_sympy(a.field, _sympy_matrix(a).nullspace()))
+
+
+def _oracle_cases(rng):
+    """Matrices over GF(5), GF(7) and QQ of every rank, zero and 0-row ones,
+    and tall ones with up to three times as many rows as columns, whose span
+    fills up early."""
+    for field in (Field(5), Field(7), Field(0)) * 30:
+        cols = rng.randint(1, 6)
+        rows = rng.randint(0, 3 * cols)
+        rank = rng.choice([cols, rng.randint(0, cols)])
+        gens = [rand_vec(field, cols, rng) for _ in range(rank)]
+        data = tuple(vec_combine(field, [field.random(rng) for _ in gens], gens) if gens
+                     else (field.zero,) * cols for _ in range(rows))
+        yield field, Matrix(field, rows, cols, data)
+
+
+def test_rref_idempotent_and_canonical(rng):
+    # rref and kernel agree with sympy, and row-equivalent matrices
+    # echelonize identically
+    for field, a in _oracle_cases(rng):
+        basis, pivots = _oracle_rref(a)
+        ech, rank, got_pivots = rref(a)
+        assert ech.data == basis + ((field.zero,) * a.cols,) * (a.rows - rank)
+        assert (rank, got_pivots) == (len(basis), pivots)
         assert rref(ech)[0] == ech
+        k = kernel(a)
+        assert (k.basis, k.pivots) == _oracle_kernel(a)
+        if not a.rows:
+            continue
         # random invertible row operations
         b = [list(r) for r in a.data]
         for _ in range(8):
-            i, j = rng.randrange(rows), rng.randrange(rows)
-            c = rng.randrange(1, 5)
+            i, j = rng.randrange(a.rows), rng.randrange(a.rows)
+            c = field.random(rng) or field.one
             if i != j:
-                b[i] = [gf5.add(x, gf5.mul(c, y)) for x, y in zip(b[i], b[j])]
+                b[i] = [field.add(x, field.mul(c, y)) for x, y in zip(b[i], b[j])]
             else:
-                b[i] = [gf5.mul(c, x) for x in b[i]]
-        assert rref(mat(gf5, b))[0] == ech
+                b[i] = [field.mul(c, x) for x in b[i]]
+        assert rref(Matrix(field, a.rows, a.cols, tuple(map(tuple, b))))[0] == ech
 
 
 def test_solve_identity_and_unsolvable(gf7, rng):
@@ -211,13 +263,16 @@ def test_subspace_ambient_mismatch(gf5):
         u.reduce(v.basis[0])
 
 
-def test_growing_span_agrees_with_canonical_span(gf7, rng):
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        vecs = [rand_vec(gf7, n, rng) for _ in range(rng.randint(0, 6))]
-        g = GrowingSpan(gf7, n)
-        grown = sum(1 for v in vecs if g.insert(v))
-        expected = Subspace.span(gf7, n, vecs)
-        assert grown == g.dim == expected.dim
-        assert g.to_subspace() == expected
-        assert not g.insert((gf7.zero,) * n)
+def test_growing_span_agrees_with_canonical_span(rng):
+    # GrowingSpan and Subspace.span give sympy's reduced echelon basis; once
+    # the span is full, every further vector is turned away
+    for field, a in _oracle_cases(rng):
+        basis, pivots = _oracle_rref(a)
+        g = GrowingSpan(field, a.cols)
+        grown = sum(1 for v in a.data if g.insert(v))
+        assert grown == g.dim == len(basis)
+        for s in (g.to_subspace(), Subspace.span(field, a.cols, a.data)):
+            assert (s.basis, s.pivots) == (basis, pivots)
+        assert not g.insert((field.zero,) * a.cols)
+        if g.dim == a.cols:
+            assert not g.insert(rand_vec(field, a.cols, rng))
