@@ -34,7 +34,6 @@ from .linalg import (
     zero_vec,
 )
 
-SIMPLE_SCAN_LIMIT = 10**7          # largest p^n that is_simple enumerates
 MEATAXE_LINE_BUDGET = 4096         # most kernel lines meataxe_simple will close
 SIMPLICITY_SEED = 0
 
@@ -202,6 +201,9 @@ def derived(l: LieAlgebra) -> Subspace:
     return Subspace.span(l.field, l.dim, vecs)
 
 
+EXHAUSTIVE_LIMIT = 10**7    # largest p^n whose lines is_simple or exhaustive_scan enumerates
+
+
 def _projective_representatives(field: Field, n: int):
     """One vector per projective point: first nonzero coordinate equals 1.
 
@@ -254,9 +256,9 @@ def is_simple(l: LieAlgebra) -> SimplicityVerdict:
     if f.p == 0:
         raise CapabilityError(
             "certified simplicity needs a finite field; rerun with assume_simple")
-    if f.p ** l.dim > SIMPLE_SCAN_LIMIT:
+    if f.p ** l.dim > EXHAUSTIVE_LIMIT:
         raise CapabilityError(
-            f"certified simplicity limited to p^n <= {SIMPLE_SCAN_LIMIT}; "
+            f"certified simplicity limited to p^n <= {EXHAUSTIVE_LIMIT}; "
             "rerun with assume_simple")
     ideal = _first_proper_closure(l, _adjoints(l), _projective_representatives(f, l.dim))
     if ideal is not None:

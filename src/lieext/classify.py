@@ -84,22 +84,26 @@ def extremal_from_L1(l: LieAlgebra, t: Sl2Triple, g: HGrading, z) -> ExtremalGen
     a3 = l.bracket(z, a2)
     a4 = l.bracket(z, a3)
     xz = l.bracket(x, z)
+    ya2 = l.bracket(y, a2)
+    ya3 = l.bracket(y, a3)
+    xa3 = l.bracket(x, a3)
     check("rel1", l.bracket(h, x) == vec_scale(f, two, x))
     check("rel2", l.bracket(h, y) == vec_scale(f, f.neg(two), y))
     check("rel3", l.bracket(z, h) == z)
     check("rel4", vec_is_zero(l.bracket(y, z)))
     check("rel5", vec_is_zero(l.bracket(x, xz)))
     check("rel6", l.bracket(y, xz) == z)
-    check("rel7", vec_is_zero(l.bracket(y, a2)))
+    check("rel7", vec_is_zero(ya2))
     check("rel8", vec_is_zero(l.bracket(x, a2)))
-    check("rel9", vec_is_zero(l.bracket(y, a3)))
-    check("rel10", vec_is_zero(l.bracket(x, l.bracket(x, a3))))
-    check("rel11", l.bracket(y, l.bracket(x, a3)) == a3)
+    check("rel9", vec_is_zero(ya3))
+    check("rel10", vec_is_zero(l.bracket(x, xa3)))
+    check("rel11", l.bracket(y, xa3) == a3)
     alpha = vec_ratio(f, a4, y)
     check("rel12", alpha is not None)
 
     h1 = l.bracket(xz, z)
-    b_minus = l.bracket(l.bracket(h1, z), x)
+    h1z = l.bracket(h1, z)
+    b_minus = l.bracket(h1z, x)
     # Jacobi applied to the quartic relation pins this value: with
     # [h1, x] = 0 one gets 2 ad_z([[h1,z],x]) = [ad_z([h1,z]), x] = alpha*h,
     # since [h1, z] = -ad_z^3(x) and ad_z^4(x) = alpha*y.
@@ -113,14 +117,13 @@ def extremal_from_L1(l: LieAlgebra, t: Sl2Triple, g: HGrading, z) -> ExtremalGen
     check("[[y,u],u]=-2u", l.bracket(yu, u) == vec_scale(f, f.neg(two), u))
     check("u_extremal", classify_element(l, u).kind == EXTREMAL)
 
-    eight = [x, xz, b_minus, h, h1, z, l.bracket(h1, z), y]
+    eight = [x, xz, b_minus, h, h1, z, h1z, y]
     span_eight = Subspace.span(f, l.dim, eight)
     closure = subalgebra_closure(l, [x, y, z])
     check("span_is_eight_set", closure == span_eight)
 
-    z_rec = vec_scale(f, f.neg(f.one), l.bracket(y, a1))
-    z_rec = vec_sub(f, z_rec, vec_scale(f, f.inv(two), l.bracket(y, a2)))
-    z_rec = vec_sub(f, z_rec, vec_scale(f, f.inv(f.of(6)), l.bracket(y, a3)))
+    z_rec = vec_combine(f, (f.neg(f.one), f.neg(f.inv(two)), f.neg(f.inv(f.of(6)))),
+                        (l.bracket(y, a1), ya2, ya3))
     check("z_reconstruction", z_rec == z)
     coords = subalgebra_closure(l, [x, y, u]).coords(z)
     check("z_in_<x,y,u>", coords is not None)

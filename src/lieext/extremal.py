@@ -9,13 +9,10 @@ a single coordinate cannot produce a false positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
-from .algebra import LieAlgebra
+from .algebra import EXHAUSTIVE_LIMIT, LieAlgebra, _projective_representatives
 from .errors import CapabilityError, DomainError, HypothesisError
-from .linalg import _dot, vec_is_zero, vec_ratio
-
-EXHAUSTIVE_LIMIT = 10**7
+from .linalg import _dot, vec_is_zero, vec_ratio, vec_scale
 
 NOT_EXTREMAL = "not_extremal"
 SANDWICH = "sandwich"
@@ -77,33 +74,26 @@ class ScanResult:
 def exhaustive_scan(l: LieAlgebra, representatives_only: bool = False) -> ScanResult:
     """Classify every nonzero vector of a small finite-field algebra.
 
-    Vectors come out in lexicographic coordinate order.  With
-    ``representatives_only`` each scalar class appears once, through its
-    representative with first nonzero coordinate 1.
+    Extremality is a property of lines: c x has the kind of x and the
+    functional c f_x.  So one vector per line, its representative with first
+    nonzero coordinate 1, is classified and counted p - 1 times; the result
+    is the same as classifying every vector.  Vectors come out in
+    lexicographic coordinate order.  With ``representatives_only`` each line
+    appears once, through its representative.
     """
-    p = l.field.p
+    f = l.field
+    p = f.p
     if p == 0:
         raise CapabilityError("exhaustive scan needs a finite field")
-    total = p**l.dim
-    if total > EXHAUSTIVE_LIMIT:
+    if p**l.dim > EXHAUSTIVE_LIMIT:
         raise CapabilityError(f"exhaustive scan limited to p^n <= {EXHAUSTIVE_LIMIT}")
-    f = l.field
-    extremal = []
-    sandwich = []
     counts = {NOT_EXTREMAL: 0, SANDWICH: 0, EXTREMAL: 0}
-    vectors = product(f.elements(), repeat=l.dim)
-    next(vectors)  # the zero vector
-    for v in vectors:
-        status = classify_element(l, v)
-        counts[status.kind] += 1
-        if status.kind == NOT_EXTREMAL:
-            continue
-        if representatives_only:
-            lead = next(c for c in v if c)
-            if lead != f.one:
-                continue
-        if status.kind == SANDWICH:
-            sandwich.append(v)
-        else:
-            extremal.append(v)
-    return ScanResult(tuple(extremal), tuple(sandwich), counts, representatives_only)
+    found = {SANDWICH: [], EXTREMAL: []}
+    for v in _projective_representatives(f, l.dim):
+        kind = classify_element(l, v).kind
+        counts[kind] += p - 1
+        if kind in found:
+            found[kind].extend([v] if representatives_only
+                               else (vec_scale(f, c, v) for c in range(1, p)))
+    return ScanResult(tuple(sorted(found[EXTREMAL])), tuple(sorted(found[SANDWICH])),
+                      counts, representatives_only)

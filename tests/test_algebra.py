@@ -435,7 +435,8 @@ def test_is_simple_probabilistic_over_rationals():
 
 
 def test_is_simple_size_cap():
-    with pytest.raises(CapabilityError):
+    with pytest.raises(CapabilityError,
+                       match=r"certified simplicity limited to p\^n <= 10000000; rerun with assume_simple$"):
         is_simple(builtin("sl4", 7))  # 7^15 points is far too many
 
 

@@ -134,6 +134,14 @@ def test_extremal_exhaustive(capsys, witt5_file):
     assert reps["counts"] == doc["counts"]
 
 
+def test_extremal_exhaustive_refuses_beyond_the_bound(capsys, tmp_path):
+    path = tmp_path / "sl4.json"
+    path.write_text(to_json(builtin("sl4", 7)))
+    code, out, err = invoke(capsys, "extremal", str(path), "--exhaustive")
+    assert code == 2 and out == ""
+    assert err == "error: exhaustive scan limited to p^n <= 10000000\n"
+
+
 def test_extremal_rejects_threads_flag(capsys, witt5_file):
     code, out, err = invoke(capsys, "extremal", witt5_file, "--exhaustive", "--threads", "4")
     assert code == 2 and out == ""

@@ -14,7 +14,7 @@ from lieext import (
     scan_basis,
 )
 from lieext.classify import exp_ad
-from lieext.extremal import apply_functional
+from lieext.extremal import ScanResult, apply_functional
 from lieext.linalg import Matrix, kernel, solve, vec_is_zero, vec_scale
 
 from conftest import on_random_basis, rand_vec
@@ -319,7 +319,83 @@ def test_exhaustive_restricted_to_basis_agrees_with_scan_basis(witt5):
 
 
 def test_exhaustive_scan_capability_limits():
-    with pytest.raises(CapabilityError):
+    with pytest.raises(CapabilityError, match="exhaustive scan needs a finite field"):
         exhaustive_scan(builtin("sl2", 0))
-    with pytest.raises(CapabilityError):
+    with pytest.raises(CapabilityError, match=r"exhaustive scan limited to p\^n <= 10000000$"):
         exhaustive_scan(builtin("sl4", 7))  # 7^15 vectors
+
+
+def _vector_scan(l, representatives_only):
+    """Reference scan: classify every nonzero vector in ``product`` order and
+    keep, with ``representatives_only``, those whose first nonzero
+    coordinate is 1."""
+    found = {SANDWICH: [], EXTREMAL: []}
+    counts = {NOT_EXTREMAL: 0, SANDWICH: 0, EXTREMAL: 0}
+    for v in product(l.field.elements(), repeat=l.dim):
+        if vec_is_zero(v):
+            continue
+        kind = classify_element(l, v).kind
+        counts[kind] += 1
+        lead = next(c for c in v if c)
+        if kind in found and (lead == 1 or not representatives_only):
+            found[kind].append(v)
+    return ScanResult(tuple(found[EXTREMAL]), tuple(found[SANDWICH]), counts,
+                      representatives_only)
+
+
+@pytest.mark.parametrize("case", ["sl2/F5", "sl2/F7 random basis", "witt5/F5", "heisenberg/F5"])
+@pytest.mark.parametrize("representatives_only", [False, True])
+def test_exhaustive_scan_matches_vector_by_vector_scan(case, representatives_only, rng):
+    name, p = case.split()[0].split("/F")
+    l = builtin(name, int(p))
+    if case.endswith("random basis"):
+        l = on_random_basis(l, rng)[0]
+    assert exhaustive_scan(l, representatives_only) == _vector_scan(l, representatives_only)
+
+
+@pytest.mark.parametrize("name, p", [("witt5", 5), ("sl2", 7)])
+def test_classification_is_constant_on_lines(name, p):
+    # c x has the kind of x and the functional c f_x, which lets the scan
+    # classify one vector per line.
+    l = builtin(name, p)
+    f = l.field
+    status = {v: classify_element(l, v)
+              for v in product(f.elements(), repeat=l.dim) if not vec_is_zero(v)}
+    for v, st in status.items():
+        for c in range(1, p):
+            scaled = status[vec_scale(f, c, v)]
+            assert scaled.kind == st.kind
+            if st.functional is None:
+                assert scaled.functional is None
+            else:
+                assert scaled.functional == vec_scale(f, c, st.functional)
+
+
+@pytest.mark.parametrize("representatives_only", [False, True])
+def test_exhaustive_scan_classifies_one_vector_per_line(monkeypatch, representatives_only):
+    import lieext.extremal
+
+    calls = []
+
+    def counted(l, x):
+        calls.append(x)
+        return classify_element(l, x)
+
+    monkeypatch.setattr(lieext.extremal, "classify_element", counted)
+    scan = exhaustive_scan(builtin("sl2", 7), representatives_only)
+    assert len(calls) == (7**3 - 1) // 6 == 57
+    assert all(next(c for c in v if c) == 1 for v in calls)
+    assert sum(scan.counts.values()) == 7**3 - 1
+
+
+def test_exhaustive_scan_sl3_f5_point_count():
+    # Point-count oracle (Cohen-Steinbach-Ushirobira-Wales): sl3 over F_q has
+    # (q^3 - 1)(q^2 - 1)/(q - 1)^2 extremal points, 186 for q = 5, the lines
+    # of rank-one nilpotent matrices; there are no sandwiches.
+    q = 5
+    scan = exhaustive_scan(builtin("sl3", q), representatives_only=True)
+    points = (q**3 - 1) * (q**2 - 1) // (q - 1) ** 2
+    assert len(scan.extremal) == points == 186
+    assert scan.counts[EXTREMAL] == points * (q - 1) == 744
+    assert scan.sandwich == () and scan.counts[SANDWICH] == 0
+    assert sum(scan.counts.values()) == q**8 - 1
