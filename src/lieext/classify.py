@@ -19,8 +19,7 @@ from .algebra import (
 from .errors import CapabilityError, ContradictionError, HypothesisError
 from .extremal import EXTREMAL, classify_element, require_extremal
 from .fields import Field
-from .linalg import (Matrix, Subspace, solve, vec_add, vec_combine, vec_is_zero, vec_ratio,
-                     vec_scale, vec_sub)
+from .linalg import Subspace, vec_add, vec_combine, vec_is_zero, vec_ratio, vec_scale, vec_sub
 from .sl2 import (
     _Relations,
     HGrading,
@@ -43,17 +42,12 @@ def exp_ad(l: LieAlgebra, z, x):
     require_good_characteristic(l)
     z, x = l.check_vector(z), l.check_vector(x)
     f = l.field
-    t1 = l.bracket(z, x)
-    t2 = l.bracket(z, t1)
-    t3 = l.bracket(z, t2)
-    t4 = l.bracket(z, t3)
-    if not vec_is_zero(l.bracket(z, t4)):
+    terms = [x]
+    for _ in range(4):
+        terms.append(l.bracket(z, terms[-1]))
+    if not vec_is_zero(l.bracket(z, terms[-1])):
         raise HypothesisError("ad_z is not nilpotent of order 5 on x")
-    u = vec_add(f, x, t1)
-    u = vec_add(f, u, vec_scale(f, f.inv(f.of(2)), t2))
-    u = vec_add(f, u, vec_scale(f, f.inv(f.of(6)), t3))
-    u = vec_add(f, u, vec_scale(f, f.inv(f.of(24)), t4))
-    return u
+    return vec_combine(f, [f.one, f.one] + [f.inv(f.of(k)) for k in (2, 6, 24)], terms)
 
 
 @dataclass(frozen=True)
@@ -137,6 +131,36 @@ def extremal_from_L1(l: LieAlgebra, t: Sl2Triple, g: HGrading, z) -> ExtremalGen
 
 SPANNING_LABELS = ("x", "y", "h", "v", "[v,y]", "[v,[v,y]]")
 
+# The multiplication table of the spanning set s = SPANNING_LABELS, one row
+# per pair a < b: (name, a, b, {k: c}) states [s_a, s_b] = sum c * s_k.
+WITT_RULES = (
+    ("[x,y]=h", 0, 1, {2: 1}),
+    ("[x,h]=-2x", 0, 2, {0: -2}),
+    ("[x,v]=0", 0, 3, {}),
+    ("[x,[v,y]]=-v", 0, 4, {3: -1}),
+    ("[x,[v,[v,y]]]=0", 0, 5, {}),
+    ("[y,h]=2y", 1, 2, {1: 2}),
+    ("[y,v]=-[v,y]", 1, 3, {4: -1}),
+    ("[y,[v,y]]=-x", 1, 4, {0: -1}),
+    ("[y,[v,[v,y]]]=0", 1, 5, {}),
+    ("[h,v]=v", 2, 3, {3: 1}),
+    ("[h,[v,y]]=-[v,y]", 2, 4, {4: -1}),
+    ("[h,[v,[v,y]]]=0", 2, 5, {}),
+    ("[v,[v,y]]=[v,[v,y]]", 3, 4, {5: 1}),
+    ("[v,[v,[v,y]]]=0", 3, 5, {}),
+    ("[[v,y],[v,[v,y]]]=0", 4, 5, {}),
+)
+
+# Images of s in the builtin wittext5, whose basis is z^k Dz (k = 0..4) and
+# z^6 Dz, in the row notation: -z^2 Dz, Dz, 2z Dz, 2z^4 Dz, 2z^3 Dz, z^6 Dz.
+# witt5 has only the first five coordinates, so there [v,[v,y]] = 0 maps to 0.
+WITT_IMAGES = ({2: -1}, {0: 1}, {1: 2}, {4: 2}, {3: 2}, {5: 1})
+
+
+def _rule_value(f: Field, rhs: dict, vecs):
+    """The right-hand side sum c * vecs[k] of one row of WITT_RULES."""
+    return vec_combine(f, [f.of(rhs.get(k, 0)) for k in range(len(vecs))], vecs)
+
 
 @dataclass(frozen=True)
 class WittIsoReport:
@@ -148,39 +172,26 @@ class WittIsoReport:
 
 
 def witt_recognize(l: LieAlgebra, t: Sl2Triple, v) -> WittIsoReport:
-    """Verify the sixteen multiplication rules on the spanning set built
-    from v, decide between the Witt algebra and its central extension, and
-    produce the bracket-preserving basis map onto the builtin model."""
+    """Check the rows of WITT_RULES and [y,[y,v]] = x on the spanning set
+    built from v, decide between the Witt algebra and its central extension,
+    and check the same rows on WITT_IMAGES in the builtin model.  The active
+    spanning vectors are independent, so the rows are the coordinates of
+    every bracket and the basis map onto the model preserves the bracket."""
     if l.field.p != 5:
         raise HypothesisError("Witt recognition only applies in characteristic 5")
     v = l.check_vector(v)
     f = l.field
     x, y, h = t.x, t.y, t.h
-    if l.bracket(y, l.bracket(y, v)) != tuple(x):
+    yyv = l.bracket(y, l.bracket(y, v))
+    if yyv != tuple(x):
         raise HypothesisError("v does not satisfy [y, [y, v]] = x")
     vy = l.bracket(v, y)
     vvy = l.bracket(v, vy)
     spanning = (x, y, h, v, vy, vvy)
     check = _Relations(HypothesisError, "multiplication rule")
-    two = f.of(2)
-    neg = lambda vec: vec_scale(f, f.neg(f.one), vec)
-    zero = l.zero()
-    check("[x,y]=h", l.bracket(x, y) == tuple(h))
-    check("[x,h]=-2x", l.bracket(x, h) == vec_scale(f, f.neg(two), x))
-    check("[x,v]=0", l.bracket(x, v) == zero)
-    check("[x,[v,y]]=-v", l.bracket(x, vy) == neg(v))
-    check("[x,[v,[v,y]]]=0", l.bracket(x, vvy) == zero)
-    check("[y,h]=2y", l.bracket(y, h) == vec_scale(f, two, y))
-    check("[y,v]=-[v,y]", l.bracket(y, v) == neg(vy))
-    check("[y,[v,y]]=-x", l.bracket(y, vy) == neg(x))
-    check("[y,[v,[v,y]]]=0", l.bracket(y, vvy) == zero)
-    check("[h,v]=v", l.bracket(h, v) == tuple(v))
-    check("[h,[v,y]]=-[v,y]", l.bracket(h, vy) == neg(vy))
-    check("[h,[v,[v,y]]]=0", l.bracket(h, vvy) == zero)
-    check("[v,[v,y]]=[v,[v,y]]", l.bracket(v, vy) == tuple(vvy))
-    check("[v,[v,[v,y]]]=0", l.bracket(v, vvy) == zero)
-    check("[[v,y],[v,[v,y]]]=0", l.bracket(vy, vvy) == zero)
-    check("[y,[y,v]]=x", l.bracket(y, l.bracket(y, v)) == tuple(x))
+    for name, a, b, rhs in WITT_RULES:
+        check(name, l.bracket(spanning[a], spanning[b]) == _rule_value(f, rhs, spanning))
+    check("[y,[y,v]]=x", yyv == tuple(x))
     extended = not vec_is_zero(vvy)
     target_name = "W_tilde" if extended else "W"
     active = spanning if extended else spanning[:5]
@@ -190,29 +201,11 @@ def witt_recognize(l: LieAlgebra, t: Sl2Triple, v) -> WittIsoReport:
 
     model = builtin("wittext5" if extended else "witt5", 5)
     mf = model.field
-    # Images: -z^2 Dz, Dz, 2z Dz, 2z^4 Dz, 2z^3 Dz (and z^6 Dz when extended).
-    images = [
-        (0, 0, mf.of(-1), 0, 0),
-        (1, 0, 0, 0, 0),
-        (0, 2, 0, 0, 0),
-        (0, 0, 0, 0, 2),
-        (0, 0, 0, 2, 0),
-    ]
-    if extended:
-        images = [img + (0,) for img in images] + [(0, 0, 0, 0, 0, 1)]
-    images = [tuple(mf.of(c) for c in img) for img in images]
-
-    basis_matrix = Matrix.from_columns(f, active)
-    for a in range(len(active)):
-        for b in range(a + 1, len(active)):
-            w = l.bracket(active[a], active[b])
-            coeffs = solve(basis_matrix, w)
-            if coeffs is None:
-                raise HypothesisError("bracket of spanning vectors left their span")
-            phi_w = vec_combine(mf, coeffs, images)
-            if phi_w != model.bracket(images[a], images[b]):
-                raise HypothesisError(
-                    f"basis map does not preserve the bracket on pair ({a}, {b})")
+    images = [tuple(mf.of(img.get(k, 0)) for k in range(model.dim)) for img in WITT_IMAGES]
+    for _, a, b, rhs in WITT_RULES:
+        if model.bracket(images[a], images[b]) != _rule_value(mf, rhs, images):
+            raise HypothesisError(
+                f"basis map does not preserve the bracket on pair ({a}, {b})")
 
     span_all = span.dim == l.dim
     phi = tuple((SPANNING_LABELS[k], format_vector(mf, images[k])) for k in range(len(active)))

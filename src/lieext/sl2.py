@@ -173,15 +173,12 @@ def h_grading(l: LieAlgebra, t: Sl2Triple) -> HGrading:
         comp = components[label]
         if comp.dim != 1 or not comp.contains(vec):
             raise HypothesisError(f"component at label {label} is not the expected line")
-    z_graded = True
-    for i in LABELS:
-        for j in LABELS:
-            if abs(i + j) <= 2:
-                continue
-            for u in components[i].basis:
-                for v in components[j].basis:
-                    if not vec_is_zero(l.bracket(u, v)):
-                        z_graded = False
+    # Of the label pairs with |i + j| > 2, (2, 2) and (-2, -2) bracket a line
+    # with itself and the reversed pairs are antisymmetric, so [L1, L2] and
+    # [L-1, L-2] decide the integer grading.
+    z_graded = all(vec_is_zero(l.bracket(u, w))
+                   for i, j in ((1, 2), (-1, -2))
+                   for u in components[i].basis for w in components[j].basis)
     return HGrading(components, z_graded)
 
 
@@ -212,7 +209,8 @@ def dichotomy(l: LieAlgebra, t: Sl2Triple, g: HGrading) -> DichotomyResult:
     f = l.field
     lm1 = g.components[-1]
     l1 = g.components[1]
-    images = [l.bracket(t.y, l.bracket(t.y, b)) for b in lm1.basis]
+    y_lm1 = [l.bracket(t.y, b) for b in lm1.basis]
+    images = [l.bracket(t.y, c) for c in y_lm1]
     target = Subspace.span(f, l.dim, images)
     if target.dim > 0:
         if f.p != 5:
@@ -234,6 +232,6 @@ def dichotomy(l: LieAlgebra, t: Sl2Triple, g: HGrading) -> DichotomyResult:
     check("x_maps_L1_onto_L-1",
           Subspace.span(f, l.dim, [l.bracket(t.x, b) for b in l1.basis]) == lm1)
     check("y_maps_L-1_onto_L1",
-          Subspace.span(f, l.dim, [l.bracket(t.y, b) for b in lm1.basis]) == l1)
+          Subspace.span(f, l.dim, y_lm1) == l1)
     check("integer_grading", g.z_graded)
     return DichotomyResult("regular", None, GRADING_MAP_NOTE)

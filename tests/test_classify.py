@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -20,10 +21,11 @@ from lieext import (
     complete_sl2,
     witt_recognize,
 )
+from lieext import classify, linalg
 from lieext.algebra import from_json, to_json
-from lieext.classify import VERDICT_GENERATED, VERDICT_WITT
+from lieext.classify import VERDICT_GENERATED, VERDICT_WITT, WITT_IMAGES, WITT_RULES
 from lieext.extremal import EXTREMAL
-from lieext.linalg import vec_is_zero, vec_scale
+from lieext.linalg import Matrix, solve, vec_combine, vec_is_zero, vec_scale
 
 from conftest import on_random_basis
 
@@ -271,6 +273,98 @@ def test_witt_recognize_rejects_bad_v(witt5):
     triple, grading = pipeline(witt5, x)
     with pytest.raises(HypothesisError):
         witt_recognize(witt5, triple, witt5.basis_vector(3))
+
+
+def witt_case(l, x):
+    triple, grading = pipeline(l, x)
+    return triple, dichotomy(l, triple, grading).v
+
+
+def test_witt_rules_are_the_fifteen_pairs_in_order():
+    assert [(a, b) for _, a, b, _ in WITT_RULES] == [
+        (a, b) for a in range(6) for b in range(a + 1, 6)]
+
+
+@pytest.mark.parametrize("row", range(len(WITT_RULES)))
+def test_witt_recognize_checks_every_row_on_the_input(witt5, monkeypatch, row):
+    # one wrong coefficient, on x, which is never zero
+    name, a, b, rhs = WITT_RULES[row]
+    wrong = dict(rhs)
+    wrong[0] = wrong.get(0, 0) + 1
+    rules = list(WITT_RULES)
+    rules[row] = (name, a, b, wrong)
+    monkeypatch.setattr(classify, "WITT_RULES", tuple(rules))
+    triple, v = witt_case(witt5, (0, 0, witt5.field.of(-1), 0, 0))
+    with pytest.raises(HypothesisError) as err:
+        witt_recognize(witt5, triple, v)
+    assert str(err.value) == f"multiplication rule failed: {name}"
+
+
+@pytest.mark.parametrize("i,j", [(0, 1), (1, 2), (2, 3), (3, 4)])
+def test_witt_recognize_rejects_swapped_images(witt5, monkeypatch, i, j):
+    images = list(WITT_IMAGES)
+    images[i], images[j] = images[j], images[i]
+    monkeypatch.setattr(classify, "WITT_IMAGES", tuple(images))
+    triple, v = witt_case(witt5, (0, 0, witt5.field.of(-1), 0, 0))
+    with pytest.raises(HypothesisError, match="basis map does not preserve the bracket on pair"):
+        witt_recognize(witt5, triple, v)
+
+
+def solve_reference(l, iso):
+    """Solve for the coordinates of every bracket of active spanning vectors:
+    they are the coefficients of the matching row of WITT_RULES, and their
+    image under phi is the model's bracket of the images."""
+    f = l.field
+    model = builtin("wittext5" if iso.target == "W_tilde" else "witt5", 5)
+    mf = model.field
+    images = [tuple(mf.parse(c) for c in img) for _, img in iso.phi]
+    active = iso.spanning[:len(images)]
+    basis = Matrix.from_columns(f, active)
+    rows = {(a, b): rhs for _, a, b, rhs in WITT_RULES}
+    for a in range(len(active)):
+        for b in range(a + 1, len(active)):
+            coeffs = solve(basis, l.bracket(active[a], active[b]))
+            assert coeffs == tuple(f.of(rows[a, b].get(k, 0)) for k in range(len(active)))
+            assert vec_combine(mf, coeffs, images) == model.bracket(images[a], images[b])
+
+
+@pytest.mark.parametrize("name", ["witt5", "wittext5"])
+def test_witt_recognize_phi_agrees_with_solve_reference(name):
+    l = builtin(name, 5)
+    x = (0, 0, l.field.of(-1)) + (0,) * (l.dim - 3)
+    cases = [(l, x)]
+    for seed in (1, 2, 3):
+        dense, old_basis = on_random_basis(l, random.Random(seed))
+        cases.append((dense, vec_combine(l.field, x, old_basis)))
+    for alg, vec in cases:
+        triple, v = witt_case(alg, vec)
+        iso = witt_recognize(alg, triple, v)
+        assert iso.target == ("W" if name == "witt5" else "W_tilde")
+        solve_reference(alg, iso)
+
+
+def test_witt_recognize_bracket_count(witt5, monkeypatch):
+    """19 brackets on the input: [y,[y,v]], [v,y], [v,[v,y]] and one per
+    row; no linear solve."""
+    triple, v = witt_case(witt5, (0, 0, witt5.field.of(-1), 0, 0))
+    brackets, solves = [], []
+    bracket = LieAlgebra.bracket
+
+    def counting_bracket(self, u, w):
+        if self is witt5:           # not the builtin model
+            brackets.append((u, w))
+        return bracket(self, u, w)
+
+    def counting_solve(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(LieAlgebra, "bracket", counting_bracket)
+    monkeypatch.setattr(linalg, "solve", counting_solve)
+    monkeypatch.setattr(classify, "solve", counting_solve, raising=False)
+    witt_recognize(witt5, triple, v)
+    assert len(brackets) == 19
+    assert solves == []
 
 
 def test_witt_recognize_characteristic_guard():

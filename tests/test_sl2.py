@@ -19,10 +19,10 @@ from lieext import (
     center,
     complete_sl2,
 )
-from lieext.linalg import kernel, rref, vec_add, vec_is_zero, vec_scale
-from lieext.sl2 import restrict_operator
+from lieext.linalg import kernel, rref, vec_add, vec_combine, vec_is_zero, vec_scale
+from lieext.sl2 import LABELS, restrict_operator
 
-from conftest import rand_vec
+from conftest import on_random_basis, rand_vec
 
 # (builtin, characteristic, index or coords of a designated extremal element)
 SIMPLE_CASES = [
@@ -38,8 +38,8 @@ SIMPLE_CASES = [
 
 def designated(name, p):
     l = builtin(name, p)
-    if name == "witt5":
-        return l, (0, 0, l.field.of(-1), 0, 0)
+    if name.startswith("witt"):
+        return l, (0, 0, l.field.of(-1)) + (0,) * (l.dim - 3)
     if name == "sl2":
         return l, l.basis_vector(0)
     if name == "sl3":
@@ -250,6 +250,31 @@ def test_grading_rejects_non_diagonalizable():
     triple, _ = complete_sl2(l, x, w)
     with pytest.raises(HypothesisError):
         h_grading(l, triple)
+
+
+def z_graded_all_pairs(l, g):
+    """Reference integer-grading test: every label pair with |i + j| > 2."""
+    return all(vec_is_zero(l.bracket(u, v))
+               for i in LABELS for j in LABELS if abs(i + j) > 2
+               for u in g.components[i].basis for v in g.components[j].basis)
+
+
+@pytest.mark.parametrize("name,p", [(name, p) for name, p, _ in SIMPLE_CASES] + [("wittext5", 5)])
+def test_grading_two_pairs_decide_integer_grading(name, p):
+    """h_grading brackets only [L1, L2] and [L-1, L-2]; the six-pair loop
+    agrees on the standard basis and on seeded random bases."""
+    l, x = designated(name, p)
+    cases = [(l, x)]
+    for seed in (1, 2):
+        dense, old_basis = on_random_basis(l, random.Random(seed))
+        cases.append((dense, vec_combine(l.field, x, old_basis)))
+    for alg, vec in cases:
+        st = classify_element(alg, vec)
+        triple, _ = complete_sl2(alg, vec, find_witness(alg, st.functional))
+        g = h_grading(alg, triple)
+        assert g.z_graded == z_graded_all_pairs(alg, g)
+        if name.startswith("witt"):
+            assert not g.z_graded
 
 
 # -- quadraticity ------------------------------------------------------------------
