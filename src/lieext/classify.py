@@ -77,27 +77,25 @@ def extremal_from_L1(l: LieAlgebra, t: Sl2Triple, g: HGrading, z) -> ExtremalGen
     a2 = l.bracket(z, a1)
     a3 = l.bracket(z, a2)
     a4 = l.bracket(z, a3)
-    xz = l.bracket(x, z)
-    ya2 = l.bracket(y, a2)
-    ya3 = l.bracket(y, a3)
-    xa3 = l.bracket(x, a3)
+    minus_one = f.neg(f.one)
+    # [x,z], h1 = [[x,z],z], [h1,z], [[h1,z],x] off a_k = ad_z^k(x) by antisymmetry, on any table
+    xz, h1, h1z = vec_scale(f, minus_one, a1), a2, vec_scale(f, minus_one, a3)
+    b_minus = l.bracket(x, a3)
+    ya1, ya2, ya3 = (l.bracket(y, a) for a in (a1, a2, a3))
     check("rel1", l.bracket(h, x) == vec_scale(f, two, x))
     check("rel2", l.bracket(h, y) == vec_scale(f, f.neg(two), y))
     check("rel3", l.bracket(z, h) == z)
     check("rel4", vec_is_zero(l.bracket(y, z)))
-    check("rel5", vec_is_zero(l.bracket(x, xz)))
-    check("rel6", l.bracket(y, xz) == z)
+    check("rel5", vec_is_zero(l.bracket(x, a1)))
+    check("rel6", vec_scale(f, minus_one, ya1) == z)
     check("rel7", vec_is_zero(ya2))
     check("rel8", vec_is_zero(l.bracket(x, a2)))
     check("rel9", vec_is_zero(ya3))
-    check("rel10", vec_is_zero(l.bracket(x, xa3)))
-    check("rel11", l.bracket(y, xa3) == a3)
+    check("rel10", vec_is_zero(l.bracket(x, b_minus)))
+    check("rel11", l.bracket(y, b_minus) == a3)
     alpha = vec_ratio(f, a4, y)
     check("rel12", alpha is not None)
 
-    h1 = l.bracket(xz, z)
-    h1z = l.bracket(h1, z)
-    b_minus = l.bracket(h1z, x)
     # Jacobi applied to the quartic relation pins this value: with
     # [h1, x] = 0 one gets 2 ad_z([[h1,z],x]) = [ad_z([h1,z]), x] = alpha*h,
     # since [h1, z] = -ad_z^3(x) and ad_z^4(x) = alpha*y.
@@ -116,8 +114,8 @@ def extremal_from_L1(l: LieAlgebra, t: Sl2Triple, g: HGrading, z) -> ExtremalGen
     closure = subalgebra_closure(l, [x, y, z])
     check("span_is_eight_set", closure == span_eight)
 
-    z_rec = vec_combine(f, (f.neg(f.one), f.neg(f.inv(two)), f.neg(f.inv(f.of(6)))),
-                        (l.bracket(y, a1), ya2, ya3))
+    z_rec = vec_combine(f, (minus_one, f.neg(f.inv(two)), f.neg(f.inv(f.of(6)))),
+                        (ya1, ya2, ya3))
     check("z_reconstruction", z_rec == z)
     coords = subalgebra_closure(l, [x, y, u]).coords(z)
     check("z_in_<x,y,u>", coords is not None)

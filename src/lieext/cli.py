@@ -14,6 +14,7 @@ defect in lieext itself, reported with the exception's type).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -69,6 +70,7 @@ def _emit(doc: dict, digest: str) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="lieext",

@@ -122,14 +122,14 @@ def complete_sl2(l: LieAlgebra, x, w):
     h = l.bracket(x, w)
     x1 = vec_sub(f, l.bracket(w, h), vec_scale(f, f.of(2), w))
     c = kernel(l.ad(x))
-    if not c.contains(x1):
+    coords = c.coords(x1)
+    if coords is None:
         raise HypothesisError("defect [w, h] - 2w left the centralizer of x")
     shifted = l.ad(h).add_scalar_diag(f.of(2))
     try:
         m = restrict_operator(shifted, c)
     except InvarianceError:
         raise HypothesisError("centralizer of x is not invariant under ad_h") from None
-    coords = c.coords(x1)
     sol = solve(m, coords)
     if sol is None:
         raise HypothesisError("(ad_h + 2) is singular on the centralizer of x")

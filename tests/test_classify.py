@@ -533,3 +533,72 @@ def test_certificate_records_the_eight_span_vectors():
     assert len(cert.b_vectors) == 8
     assert subalgebra_closure(l, [triple.x, triple.y, z]) == \
         Subspace.span(f, l.dim, cert.b_vectors)
+
+
+# -- the eight-set off the ad_z chain ----------------------------------------------------
+
+@pytest.mark.parametrize("n, p", [(3, 5), (3, 7), (4, 5), (4, 7), (5, 7)])
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_certificate_eight_set_matches_the_direct_brackets(n, p, seed):
+    # [x,z], h1 = [[x,z],z], [h1,z] and [[h1,z],x] computed by the bracket,
+    # as written in the paper, against what the certificate reads off the chain.
+    from lieext.algebra import _sl
+
+    l = _sl(Field(p), n)
+    x = l.basis_vector(n - 2)                   # E1n
+    if seed is not None:
+        l, old_basis = on_random_basis(l, random.Random(seed))
+        x = old_basis[n - 2]
+    triple, grading = pipeline(l, x)
+    for z in grading.components[1].basis:
+        cert = extremal_from_L1(l, triple, grading, z)
+        xz = l.bracket(triple.x, z)
+        h1 = l.bracket(xz, z)
+        h1z = l.bracket(h1, z)
+        b_minus = l.bracket(h1z, triple.x)
+        assert cert.h1 == h1
+        assert cert.b_vectors == (triple.x, xz, b_minus, triple.h, h1, z, h1z, triple.y)
+
+
+@pytest.mark.parametrize("p", [7, 0])
+def test_chain_identities_hold_on_a_table_that_breaks_jacobi(p):
+    # The identities the certificate relies on use antisymmetry and
+    # bilinearity only, so they hold on a table with no Jacobi identity.
+    f, r = Field(p), random.Random(p + 13)
+    n = 6
+    table = {(i, j): [(k, f.random(r)) for k in range(n)]
+             for i in range(n) for j in range(i + 1, n)}
+    l = LieAlgebra(f, tuple(f"b{i}" for i in range(n)), table)
+    assert not l.validate().ok
+    minus_one = f.neg(f.one)
+    for _ in range(20):
+        x = tuple(f.random(r) for _ in range(n))
+        z = tuple(f.random(r) for _ in range(n))
+        a1 = l.bracket(z, x)
+        a2 = l.bracket(z, a1)
+        a3 = l.bracket(z, a2)
+        xz = l.bracket(x, z)
+        assert xz == vec_scale(f, minus_one, a1)
+        assert l.bracket(xz, z) == a2
+        assert l.bracket(a2, z) == vec_scale(f, minus_one, a3)
+        assert l.bracket(l.bracket(a2, z), x) == l.bracket(x, a3)
+
+
+@pytest.mark.parametrize("name, p, x_index", [("sl3", 7, 1), ("sl4", 5, 2)])
+def test_certificate_bracket_count(name, p, x_index, monkeypatch):
+    """25 brackets per generator: the chain a1..a4, [y,a1..a3], [x,a3],
+    nine relation brackets, the five of exp_ad and three on [y,u]."""
+    l = builtin(name, p)
+    triple, grading = pipeline(l, l.basis_vector(x_index))
+    calls = []
+    bracket = LieAlgebra.bracket
+
+    def counting_bracket(self, u, v):
+        calls.append((u, v))
+        return bracket(self, u, v)
+
+    monkeypatch.setattr(LieAlgebra, "bracket", counting_bracket)
+    for z in grading.components[1].basis:
+        calls.clear()
+        extremal_from_L1(l, triple, grading, z)
+        assert len(calls) == 25

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import pathlib
@@ -5,6 +6,7 @@ import pathlib
 import pytest
 
 from lieext import builtin, classify_theorem_main, run_script, scan_basis, to_json
+from lieext import cli
 from lieext.cli import run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -416,3 +418,42 @@ def test_internal_error_exits_four(capsys, monkeypatch):
     code, out, err = invoke(capsys, "cert", "lemma22.cert")
     assert code == 4 and out == ""
     assert err == "internal error: ZeroDivisionError: simulated defect\n"
+
+
+# -- one parser per process ---------------------------------------------------
+
+def test_run_builds_the_parser_once(capsys, monkeypatch, witt5_file):
+    invoke(capsys, "builtin", "sl2", "-p", "5")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert invoke(capsys, "check", witt5_file)[0] == 0
+    assert invoke(capsys, "extremal", witt5_file, "--vector", "0,0,4,0,0")[0] == 0
+    assert invoke(capsys, "check", witt5_file, "--bogus")[0] == 2
+    assert invoke(capsys, "cert", "lemma22.cert")[0] == 0
+    assert built == []
+
+
+def test_a_usage_error_leaves_the_next_run_unchanged(capsys, witt5_file):
+    bad, good = ("check", witt5_file, "--bogus"), ("check", witt5_file)
+    cli._parser.cache_clear()
+    alone_bad = invoke(capsys, *bad)
+    cli._parser.cache_clear()
+    alone_good = invoke(capsys, *good)
+    cli._parser.cache_clear()
+    assert invoke(capsys, *bad) == alone_bad
+    assert invoke(capsys, *good) == alone_good
+    assert alone_bad[0] == 2 and "unrecognized arguments: --bogus" in alone_bad[2]
+    assert alone_good[0] == 0 and alone_good[2] == ""
+
+
+def test_help_text_matches_a_fresh_parser(capsys):
+    invoke(capsys, "builtin", "sl2", "-p", "5")
+    code, out, err = invoke(capsys, "-h")
+    assert code == 0 and err == ""
+    assert out == cli._parser.__wrapped__().format_help()
