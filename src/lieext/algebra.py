@@ -35,6 +35,7 @@ from .linalg import (
 )
 
 MEATAXE_LINE_BUDGET = 4096         # most kernel lines meataxe_simple will close
+DIM_LIMIT = 64                     # largest dim an algebra file may declare
 SIMPLICITY_SEED = 0
 
 
@@ -105,24 +106,25 @@ class LieAlgebra:
             if not ui:
                 continue
             for j, terms in self._rows[i].items():
-                if v[j]:
-                    s = f.mul(ui, v[j])
+                vj = v[j]
+                if vj:
+                    s = ui * vj
                     for k, c in terms:
-                        out[k] = f.add(out[k], f.mul(s, c))
-        return tuple(out)
+                        out[k] += s * c
+        return f.reduce(out)
 
     def ad(self, x) -> Matrix:
         """Matrix of ad_x = [x, .]: column j is sum_i x_i [b_i, b_j]."""
         x = self.check_vector(x)
-        f = self.field
-        data = [[f.zero] * self.dim for _ in range(self.dim)]
+        f, n = self.field, self.dim
+        data = [[f.zero] * n for _ in range(n)]
         for i, xi in enumerate(x):
             if not xi:
                 continue
             for j, terms in self._rows[i].items():
                 for k, c in terms:
-                    data[k][j] = f.add(data[k][j], f.mul(xi, c))
-        return Matrix(f, self.dim, self.dim, tuple(map(tuple, data)))
+                    data[k][j] += xi * c
+        return Matrix(f, n, n, tuple(map(f.reduce, data)))
 
     def validate(self) -> "ValidationReport":
         """Exhaustive Jacobi check over all basis triples i < j < k, read
@@ -134,8 +136,8 @@ class LieAlgebra:
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                 for m, s in rows[a].get(b, ()):
                     for t, d in rows[m].get(c, ()):
-                        acc[t] = f.add(acc.get(t, f.zero), f.mul(s, d))
-            if any(acc.values()):
+                        acc[t] = acc.get(t, f.zero) + s * d
+            if acc and any(f.reduce(acc.values())):
                 violations.append((i, j, k))
         return ValidationReport(tuple(violations))
 
@@ -185,14 +187,20 @@ def _adjoints(l: LieAlgebra) -> list:
 
 
 def center(l: LieAlgebra) -> Subspace:
-    """{v : [b_i, v] = 0 for all i}, the kernel of all adjoint actions: one
-    equation per nonzero row k of an ad(b_i), read from the stored constants."""
-    eqs = {}
-    for i, terms_of in enumerate(l._rows):
-        for j, terms in terms_of.items():
-            for k, c in terms:
-                eqs.setdefault((i, k), [l.field.zero] * l.dim)[j] = c
-    return kernel(Matrix(l.field, len(eqs), l.dim, tuple(map(tuple, eqs.values()))))
+    """{v : [b_i, v] = 0 for all i}.  A candidate space, at first all of L,
+    is cut down to its kernel under one ad(b_i) at a time, so it always
+    holds the centre; once every b_i has been checked it is the centre.
+    The b_i with the most nonzero brackets go first, as they cut the most,
+    and an empty candidate ends the search."""
+    f, n = l.field, l.dim
+    candidate = [l.basis_vector(j) for j in range(n)]
+    for i in sorted(range(n), key=lambda i: -len(l._rows[i])):
+        b = l.basis_vector(i)
+        ker = kernel(Matrix.from_columns(f, [l.bracket(b, v) for v in candidate]))
+        candidate = [vec_combine(f, s, candidate) for s in ker.basis]
+        if not candidate:
+            break
+    return Subspace.span(f, n, candidate)
 
 
 def derived(l: LieAlgebra) -> Subspace:
@@ -510,6 +518,8 @@ def from_json(text: str) -> LieAlgebra:
     n = doc["dim"]
     if not _is_index(n) or n < 1:
         raise ParseError("dim must be a positive integer")
+    if n > DIM_LIMIT:
+        raise ParseError(f"dim {n} exceeds the limit of {DIM_LIMIT}")
     basis = doc["basis"]
     if not isinstance(basis, list) or len(basis) != n or not all(isinstance(b, str) for b in basis):
         raise ParseError("basis must be a list of dim strings")

@@ -56,7 +56,7 @@ def require_extremal(l: LieAlgebra, x) -> ExtremalStatus:
 
 
 def apply_functional(f_vec, v, field):
-    return _dot(field, f_vec, v)
+    return field.reduce_scalar(_dot(field, f_vec, v))
 
 
 def scan_basis(l: LieAlgebra) -> list:

@@ -2,8 +2,13 @@
 
 Scalars are plain Python values: a residue ``int`` in ``[0, p)`` over GF(p),
 a ``fractions.Fraction`` over the rationals.  Both representations are
-canonical, so two scalars are equal iff they compare equal.  All arithmetic
-goes through a :class:`Field` instance, which owns the characteristic.
+canonical, so two scalars are equal iff they compare equal.  A
+:class:`Field` instance owns the characteristic.  Hot loops add and multiply
+field elements with Python's own ``+`` and ``*``, which are exact on ints
+and Fractions, and canonicalize each accumulated value once, through
+:meth:`Field.reduce` or :meth:`Field.reduce_scalar`; the rest of the
+arithmetic goes through the :class:`Field` methods, which canonicalize
+every result.
 
 Outside numbers come in only through :meth:`Field.of` and :meth:`Field.parse`;
 the arithmetic takes field elements as they are.
@@ -79,6 +84,8 @@ class Field:
 
     def of(self, value) -> "int | Fraction":
         """Canonicalize an int (or Fraction, over the rationals) into the field."""
+        if type(value) is int:
+            return value % self.p if self.p else Fraction(value)
         if self.p:
             if isinstance(value, Fraction):
                 if value.denominator != 1:
@@ -86,6 +93,17 @@ class Field:
                 value = value.numerator
             return value % self.p
         return Fraction(value)
+
+    def reduce(self, values) -> tuple:
+        """The canonical elements of raw values: sums of products of field
+        elements, taken with ``+`` and ``*`` and started from ``zero``, so
+        that over the rationals they are Fractions already."""
+        p = self.p
+        return tuple([x % p for x in values]) if p else tuple(values)
+
+    def reduce_scalar(self, value):
+        """:meth:`reduce` for one raw value."""
+        return value % self.p if self.p else value
 
     # -- arithmetic ---------------------------------------------------
 

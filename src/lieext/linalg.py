@@ -9,22 +9,27 @@ exactly one reduced echelon basis.  Only a ``GrowingSpan`` is mutable.
 Scalars are canonicalized at the boundary only: the public builders
 ``Matrix.from_rows``, ``Matrix.from_columns`` and ``Subspace.span`` take
 anything :meth:`Field.of` takes; everything else, the ``Matrix`` constructor
-included, takes field elements as they are.
+included, takes field elements as they are.  Inside, the vector and matrix
+products add and multiply with ``+`` and ``*`` and canonicalize once per
+accumulated value, through :meth:`Field.reduce`; the eliminations reduce a
+pivot entry when they read it.
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 from .errors import ShapeError
 from .fields import Field
 
 def vec_add(field: Field, u, v):
-    return tuple(field.add(a, b) for a, b in zip(u, v))
+    return field.reduce([a + b for a, b in zip(u, v)])
 
 def vec_sub(field: Field, u, v):
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
+    return field.reduce([a - b for a, b in zip(u, v)])
 
 def vec_scale(field: Field, c, u):
-    return tuple(field.mul(c, a) for a in u)
+    return field.reduce([c * a for a in u])
 
 def vec_combine(field: Field, coeffs, rows):
     """The linear combination sum c_i * rows[i]; ``rows`` must be nonempty."""
@@ -33,13 +38,13 @@ def vec_combine(field: Field, coeffs, rows):
         if c:
             for i, a in enumerate(row):
                 if a:
-                    acc[i] = field.add(acc[i], field.mul(c, a))
-    return tuple(acc)
+                    acc[i] += c * a
+    return field.reduce(acc)
 
 def vec_ratio(field: Field, w, x):
     """The scalar c with w = c * x for a nonzero x, or None if there is none."""
     lead = next(i for i, a in enumerate(x) if a)
-    c = field.div(w[lead], x[lead])
+    c = field.reduce_scalar(w[lead] * field.inv(x[lead]))
     return c if w == vec_scale(field, c, x) else None
 
 def vec_is_zero(u) -> bool:
@@ -54,9 +59,11 @@ def unit_vec(field: Field, n, i):
 
 class Matrix:
     """Immutable dense matrix; ``data`` is a tuple of row tuples of field
-    elements, which the constructor takes as they are."""
+    elements, which the constructor takes as they are.  The nonzero columns
+    of each row are listed on the first :meth:`apply`; they are a cache, not
+    part of the value."""
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "data", "_nonzero")
 
     def __init__(self, field: Field, rows: int, cols: int, data):
         if len(data) != rows or any(len(r) != cols for r in data):
@@ -65,6 +72,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.data = data
+        self._nonzero = None
 
     @classmethod
     def from_rows(cls, field: Field, data) -> "Matrix":
@@ -107,17 +115,28 @@ class Matrix:
         f = self.field
         bt = other.transpose().data
         out = tuple(
-            tuple(_dot(f, row, col) for col in bt)
+            f.reduce([_dot(f, row, col) for col in bt])
             for row in self.data
         )
         return Matrix(f, self.rows, other.cols, out)
 
     def apply(self, vec) -> tuple:
-        """Matrix times column vector."""
+        """Matrix times column vector, through the nonzero entries of each row."""
         if len(vec) != self.cols:
             raise ShapeError(f"vector of length {len(vec)} for {self.rows}x{self.cols} matrix")
         f = self.field
-        return tuple(_dot(f, row, vec) for row in self.data)
+        if self._nonzero is None:
+            columns = range(self.cols)
+            self._nonzero = tuple([tuple(compress(columns, row)) for row in self.data])
+        out = []
+        for row, nonzero in zip(self.data, self._nonzero):
+            acc = f.zero
+            for j in nonzero:
+                b = vec[j]
+                if b:
+                    acc += row[j] * b
+            out.append(acc)
+        return f.reduce(out)
 
     def add_scalar_diag(self, c) -> "Matrix":
         """self + c*I (square only)."""
@@ -131,10 +150,11 @@ class Matrix:
 
 
 def _dot(field: Field, u, v):
+    """The raw sum of products u_i v_i; callers canonicalize it."""
     acc = field.zero
     for a, b in zip(u, v):
         if a and b:
-            acc = field.add(acc, field.mul(a, b))
+            acc += a * b
     return acc
 
 
@@ -363,14 +383,18 @@ class GrowingSpan:
             x = v[c]
             if not x:
                 continue
+            x = f.reduce_scalar(x)
+            if not x:
+                continue
             row = self.rows.get(c)
             if row is None:
                 inv = f.inv(x)
-                self.rows[c] = tuple(f.mul(inv, y) for y in v)
+                # every entry before c has been eliminated or passed over
+                self.rows[c] = (f.zero,) * c + f.reduce([inv * y for y in v[c:]])
                 return True
-            for i in range(c, self.ambient):
+            for i in range(c + 1, self.ambient):
                 if row[i]:
-                    v[i] = f.sub(v[i], f.mul(x, row[i]))
+                    v[i] -= x * row[i]
         return False
 
     def _close(self, mats, vectors) -> "GrowingSpan":
@@ -447,10 +471,12 @@ class Subspace:
         for row, p in zip(self.basis, self.pivots):
             c = v[p]
             if c:
-                for i in range(self.ambient):
-                    if row[i]:
-                        v[i] = f.sub(v[i], f.mul(c, row[i]))
-        return tuple(v)
+                c = f.reduce_scalar(c)
+                if c:
+                    for i in range(p, self.ambient):
+                        if row[i]:
+                            v[i] -= c * row[i]
+        return f.reduce(v)
 
     def contains(self, vec) -> bool:
         return vec_is_zero(self.reduce(vec))

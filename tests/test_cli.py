@@ -6,7 +6,7 @@ import pathlib
 import pytest
 
 from lieext import builtin, classify_theorem_main, run_script, scan_basis, to_json
-from lieext import cli
+from lieext import algebra, cli
 from lieext.cli import run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -134,6 +134,30 @@ def test_extremal_exhaustive(capsys, witt5_file):
     code, reps = out_json(capsys, "extremal", witt5_file, "--exhaustive", "--representatives")
     assert len(reps["extremal_nonsandwich"]) == 5
     assert reps["counts"] == doc["counts"]
+
+
+def _wide_file(tmp_path, n):
+    """Heisenberg plus an abelian summand in dimension n: [b0, b1] = b_(n-1)."""
+    path = tmp_path / f"wide{n}.json"
+    path.write_text(json.dumps({
+        "characteristic": 5, "dim": n, "basis": [f"b{i}" for i in range(n)],
+        "brackets": [{"i": 0, "j": 1, "terms": [[n - 1, "1"]]}]}))
+    return str(path)
+
+
+def test_algebra_files_are_bounded_in_dimension(capsys, tmp_path):
+    limit = algebra.DIM_LIMIT
+    assert limit >= 48                                  # sl7 fits
+    at, past = _wide_file(tmp_path, limit), _wide_file(tmp_path, limit + 1)
+    code, doc = out_json(capsys, "check", at)
+    assert code == 0 and doc["valid"] is True
+    code, doc = out_json(capsys, "extremal", at, "--scan-basis")
+    assert code == 0 and len(doc["results"]) == limit
+    assert {r["kind"] for r in doc["results"]} == {"sandwich"}    # ad(x)^2 = 0 throughout
+    for argv in (["check", past], ["extremal", past, "--scan-basis"]):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: dim {limit + 1} exceeds the limit of {limit}\n"
 
 
 def test_extremal_exhaustive_refuses_beyond_the_bound(capsys, tmp_path):
