@@ -26,7 +26,10 @@ from .linalg import (
     GrowingSpan,
     Matrix,
     Subspace,
-    eigenvalues,
+    _charpoly,
+    _poly_eval,
+    _roots,
+    _span,
     kernel,
     unit_vec,
     vec_combine,
@@ -200,13 +203,22 @@ def center(l: LieAlgebra) -> Subspace:
         candidate = [vec_combine(f, s, candidate) for s in ker.basis]
         if not candidate:
             break
-    return Subspace.span(f, n, candidate)
+    return _span(f, n, candidate)
 
 
 def derived(l: LieAlgebra) -> Subspace:
-    """Span of the brackets of the basis pairs in the table."""
-    vecs = [l.bracket(l.basis_vector(i), l.basis_vector(j)) for i, j in l.table]
-    return Subspace.span(l.field, l.dim, vecs)
+    """Span of the brackets of the basis pairs in the table, read from the
+    stored constants; the search stops once the span is all of L."""
+    f, n = l.field, l.dim
+    span = GrowingSpan(f, n)
+    for terms in l.table.values():
+        v = [f.zero] * n
+        for k, c in terms:
+            v[k] = c
+        span.insert(v)
+        if span.dim == n:
+            break
+    return span.to_subspace()
 
 
 EXHAUSTIVE_LIMIT = 10**7    # largest p^n whose lines is_simple or exhaustive_scan enumerates
@@ -296,30 +308,52 @@ def meataxe_simple(l: LieAlgebra) -> SimplicityVerdict:
     verdict = _structural_verdict(l)
     if verdict is not None:
         return verdict
+    no_operator = ("no singular operator with a small enough kernel was found; "
+                   "fall back to exhaustive checking")
+    if MEATAXE_LINE_BUDGET < 1:
+        raise CapabilityError(no_operator)
 
     f = l.field
     ads = _adjoints(l)
     rng = random.Random(SIMPLICITY_SEED)
-    samples = [tuple(f.random(rng) for _ in range(l.dim)) for _ in range(24)]
-    thetas = chain(ads, (l.ad(x) for x in samples if not vec_is_zero(x)))
-    shifted = (theta.add_scalar_diag(f.neg(lam)) for theta in thetas for lam in eigenvalues(theta))
+    samples = (tuple(f.random(rng) for _ in range(l.dim)) for _ in range(24))
+
+    def candidates():
+        """Each theta with its eigenvalues in F_p, in increasing order, and
+        those that are roots of exactly one of its Hessenberg blocks."""
+        for theta in chain(ads, (l.ad(x) for x in samples if not vec_is_zero(x))):
+            chi, blocks = _charpoly(theta)
+            roots = _roots(f, chi)
+            yield theta, roots, [lam for lam in roots
+                                 if sum(not _poly_eval(f, b, lam) for b in blocks) == 1]
 
     def lines_of(nullity):
         return (f.p**nullity - 1) // (f.p - 1)
 
-    best = None
-    for theta in shifted:
-        ker = kernel(theta)
-        if ker.dim == 0 or lines_of(ker.dim) > MEATAXE_LINE_BUDGET:
-            continue
-        if best is None or ker.dim < best[1].dim:
-            best = (theta, ker)
-        if ker.dim == 1:
+    # A root of exactly one block has nullity 1, so the first one found is
+    # the only kernel computed; the per-root search below serves when no
+    # candidate has one, as over a quadratic extension.  An earlier shift of
+    # nullity 1 whose root lies in two blocks is passed over, so the witness
+    # of a non-simple algebra can differ from the per-root search's.
+    walked, best = [], None
+    for theta, roots, single in candidates():
+        if single:
+            t = theta.add_scalar_diag(f.neg(single[0]))
+            best = (t, kernel(t))
             break
+        walked.append((theta, roots))
     if best is None:
-        raise CapabilityError(
-            "no singular operator with a small enough kernel was found; "
-            "fall back to exhaustive checking")
+        shifted = (theta.add_scalar_diag(f.neg(lam)) for theta, roots in walked for lam in roots)
+        for t in shifted:
+            ker = kernel(t)
+            if ker.dim == 0 or lines_of(ker.dim) > MEATAXE_LINE_BUDGET:
+                continue
+            if best is None or ker.dim < best[1].dim:
+                best = (t, ker)
+            if ker.dim == 1:
+                break
+    if best is None:
+        raise CapabilityError(no_operator)
     theta, ker = best
     witness = _first_proper_closure(l, ads, _line_representatives(f, ker.basis))
     if witness is None:

@@ -19,7 +19,8 @@ from .algebra import (
 from .errors import CapabilityError, ContradictionError, HypothesisError
 from .extremal import EXTREMAL, classify_element, require_extremal
 from .fields import Field
-from .linalg import Subspace, vec_add, vec_combine, vec_is_zero, vec_ratio, vec_scale, vec_sub
+from .linalg import (GrowingSpan, _span, vec_add, vec_combine, vec_is_zero, vec_ratio, vec_scale,
+                     vec_sub)
 from .sl2 import (
     _Relations,
     HGrading,
@@ -42,10 +43,11 @@ def exp_ad(l: LieAlgebra, z, x):
     require_good_characteristic(l)
     z, x = l.check_vector(z), l.check_vector(x)
     f = l.field
+    adz = l.ad(z)
     terms = [x]
     for _ in range(4):
-        terms.append(l.bracket(z, terms[-1]))
-    if not vec_is_zero(l.bracket(z, terms[-1])):
+        terms.append(adz.apply(terms[-1]))
+    if not vec_is_zero(adz.apply(terms[-1])):
         raise HypothesisError("ad_z is not nilpotent of order 5 on x")
     return vec_combine(f, [f.one, f.one] + [f.inv(f.of(k)) for k in (2, 6, 24)], terms)
 
@@ -73,26 +75,29 @@ def extremal_from_L1(l: LieAlgebra, t: Sl2Triple, g: HGrading, z) -> ExtremalGen
     x, y, h = t.x, t.y, t.h
     check = _Relations(ContradictionError, "certificate relation")
     two = f.of(2)
-    a1 = l.bracket(z, x)
-    a2 = l.bracket(z, a1)
-    a3 = l.bracket(z, a2)
-    a4 = l.bracket(z, a3)
     minus_one = f.neg(f.one)
-    # [x,z], h1 = [[x,z],z], [h1,z], [[h1,z],x] off a_k = ad_z^k(x) by antisymmetry, on any table
+    # every bracket below is [a, b] = ad(a) b with a among x, y, z and u,
+    # or -ad(b) a by antisymmetry, which holds on any stored table
+    adx, ady, adz = l.ad(x), l.ad(y), l.ad(z)
+    a1 = adz.apply(x)
+    a2 = adz.apply(a1)
+    a3 = adz.apply(a2)
+    a4 = adz.apply(a3)
+    # [x,z], h1 = [[x,z],z], [h1,z], [[h1,z],x] off a_k = ad_z^k(x)
     xz, h1, h1z = vec_scale(f, minus_one, a1), a2, vec_scale(f, minus_one, a3)
-    b_minus = l.bracket(x, a3)
-    ya1, ya2, ya3 = (l.bracket(y, a) for a in (a1, a2, a3))
-    check("rel1", l.bracket(h, x) == vec_scale(f, two, x))
-    check("rel2", l.bracket(h, y) == vec_scale(f, f.neg(two), y))
-    check("rel3", l.bracket(z, h) == z)
-    check("rel4", vec_is_zero(l.bracket(y, z)))
-    check("rel5", vec_is_zero(l.bracket(x, a1)))
+    b_minus = adx.apply(a3)
+    ya1, ya2, ya3 = (ady.apply(a) for a in (a1, a2, a3))
+    check("rel1", adx.apply(h) == vec_scale(f, f.neg(two), x))
+    check("rel2", ady.apply(h) == vec_scale(f, two, y))
+    check("rel3", adz.apply(h) == z)
+    check("rel4", vec_is_zero(ady.apply(z)))
+    check("rel5", vec_is_zero(adx.apply(a1)))
     check("rel6", vec_scale(f, minus_one, ya1) == z)
     check("rel7", vec_is_zero(ya2))
-    check("rel8", vec_is_zero(l.bracket(x, a2)))
+    check("rel8", vec_is_zero(adx.apply(a2)))
     check("rel9", vec_is_zero(ya3))
-    check("rel10", vec_is_zero(l.bracket(x, b_minus)))
-    check("rel11", l.bracket(y, b_minus) == a3)
+    check("rel10", vec_is_zero(adx.apply(b_minus)))
+    check("rel11", ady.apply(b_minus) == a3)
     alpha = vec_ratio(f, a4, y)
     check("rel12", alpha is not None)
 
@@ -100,24 +105,25 @@ def extremal_from_L1(l: LieAlgebra, t: Sl2Triple, g: HGrading, z) -> ExtremalGen
     # [h1, x] = 0 one gets 2 ad_z([[h1,z],x]) = [ad_z([h1,z]), x] = alpha*h,
     # since [h1, z] = -ad_z^3(x) and ad_z^4(x) = alpha*y.
     check("adz_of_[[h1,z],x]",
-          l.bracket(z, b_minus) == vec_scale(f, f.div(alpha, two), h))
+          adz.apply(b_minus) == vec_scale(f, f.div(alpha, two), h))
 
     u = exp_ad(l, z, x)
-    yu = l.bracket(y, u)
+    adu = l.ad(u)
+    yu = ady.apply(u)
     check("[y,u]=-h-z", yu == vec_sub(f, l.zero(), vec_add(f, h, z)))
-    check("[[y,u],y]=2y", l.bracket(yu, y) == vec_scale(f, two, y))
-    check("[[y,u],u]=-2u", l.bracket(yu, u) == vec_scale(f, f.neg(two), u))
+    check("[[y,u],y]=2y", ady.apply(yu) == vec_scale(f, f.neg(two), y))
+    check("[[y,u],u]=-2u", adu.apply(yu) == vec_scale(f, two, u))
     check("u_extremal", classify_element(l, u).kind == EXTREMAL)
 
     eight = [x, xz, b_minus, h, h1, z, h1z, y]
-    span_eight = Subspace.span(f, l.dim, eight)
-    closure = subalgebra_closure(l, [x, y, z])
+    span_eight = _span(f, l.dim, eight)
+    closure = GrowingSpan(f, l.dim)._close([adx, ady, adz], [x, y, z]).to_subspace()
     check("span_is_eight_set", closure == span_eight)
 
     z_rec = vec_combine(f, (minus_one, f.neg(f.inv(two)), f.neg(f.inv(f.of(6)))),
                         (ya1, ya2, ya3))
     check("z_reconstruction", z_rec == z)
-    coords = subalgebra_closure(l, [x, y, u]).coords(z)
+    coords = GrowingSpan(f, l.dim)._close([adx, ady, adu], [x, y, u]).to_subspace().coords(z)
     check("z_in_<x,y,u>", coords is not None)
     return ExtremalGenCertificate(z, alpha, h1, u, tuple(check.names), tuple(eight),
                                   closure.dim, coords)
@@ -193,7 +199,7 @@ def witt_recognize(l: LieAlgebra, t: Sl2Triple, v) -> WittIsoReport:
     extended = not vec_is_zero(vvy)
     target_name = "W_tilde" if extended else "W"
     active = spanning if extended else spanning[:5]
-    span = Subspace.span(f, l.dim, active)
+    span = _span(f, l.dim, active)
     if span.dim != len(active):
         raise HypothesisError("spanning set is linearly degenerate")
 

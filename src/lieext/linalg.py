@@ -205,7 +205,7 @@ def kernel(a: Matrix) -> "Subspace":
         for r, pc in enumerate(pivots):
             v[pc] = f.neg(ech.data[r][c])
         basis.append(tuple(v))
-    return Subspace.span(f, a.cols, basis)
+    return _span(f, a.cols, basis)
 
 
 def eigenspace(a: Matrix, lam) -> "Subspace":
@@ -215,20 +215,20 @@ def eigenspace(a: Matrix, lam) -> "Subspace":
     return kernel(a.add_scalar_diag(a.field.neg(lam)))
 
 
-def eigenvalues(a: Matrix) -> list:
-    """The distinct eigenvalues in GF(p) of a square matrix over GF(p), in
-    increasing order: the roots in GF(p) of its characteristic polynomial."""
+def _charpoly(a: Matrix):
+    """det(x*1 - a) and its factors, the characteristic polynomials of the
+    unreduced diagonal blocks of an upper Hessenberg conjugate h of ``a``,
+    each a coefficient list, lowest degree first.
+
+    h is block upper triangular with a new block wherever h_(k,k-1) = 0.  An
+    unreduced block is nonderogatory, since deleting the first row and the
+    last column of block - lam*1 leaves a triangular minor with the nonzero
+    subdiagonal on its diagonal; so a root lam of exactly one block gives
+    a - lam*1 rank n - 1, that is nullity 1.  Within a block starting at s
+    the leading minors P_k of x*1 - h satisfy, expanding along the last
+    column, P_(k+1) = (x - h_kk) P_k - sum_(s<=i<k) h_ik h_(i+1,i) ... h_(k,k-1) P_i."""
     if a.rows != a.cols:
-        raise ShapeError("eigenvalues need a square matrix")
-    return _roots(a.field, _charpoly(a))
-
-
-def _charpoly(a: Matrix) -> list:
-    """det(x*1 - a) as a coefficient list, lowest degree first.
-
-    ``a`` is first conjugated to upper Hessenberg form h; then the leading
-    minors P_k of x*1 - h satisfy, expanding along the last column,
-    P_(k+1) = (x - h_kk) P_k - sum_(i<k) h_ik h_(i+1,i) ... h_(k,k-1) P_i."""
+        raise ShapeError("characteristic polynomial needs a square matrix")
     f, n = a.field, a.rows
     h = [list(r) for r in a.data]
     for m in range(n - 2):
@@ -239,29 +239,39 @@ def _charpoly(a: Matrix) -> list:
             h[src], h[m + 1] = h[m + 1], h[src]
             for row in h:
                 row[src], row[m + 1] = row[m + 1], row[src]
+        # conjugate by 1 - sum_i u_i E_(i, m+1): row i -= u_i row m+1, then
+        # column m+1 += sum_i u_i column i
         inv = f.inv(h[m + 1][m])
-        for i in range(m + 2, n):
-            u = f.mul(h[i][m], inv)
-            if u:  # conjugate by 1 - u E_(i, m+1): row i -= u row m+1, column m+1 += u column i
-                h[i] = [f.sub(x, f.mul(u, y)) for x, y in zip(h[i], h[m + 1])]
-                for row in h:
-                    row[m + 1] = f.add(row[m + 1], f.mul(u, row[i]))
-    minors = [[f.one]]
-    for k in range(n):
-        nxt = [f.zero] + minors[k]
-        for j, y in enumerate(minors[k]):
-            nxt[j] = f.sub(nxt[j], f.mul(h[k][k], y))
-        t = f.one
-        for i in range(k - 1, -1, -1):
-            t = f.mul(t, h[i + 1][i])
-            if not t:
-                break
-            c = f.mul(h[i][k], t)
-            if c:
-                for j, y in enumerate(minors[i]):
-                    nxt[j] = f.sub(nxt[j], f.mul(c, y))
-        minors.append(nxt)
-    return minors[n]
+        pivot = h[m + 1]
+        shears = [(i, f.reduce_scalar(h[i][m] * inv)) for i in range(m + 2, n) if h[i][m]]
+        for i, u in shears:
+            h[i] = list(f.reduce([x - u * y for x, y in zip(h[i], pivot)]))
+        if shears:
+            for row in h:
+                acc = row[m + 1]
+                for i, u in shears:
+                    acc += u * row[i]
+                row[m + 1] = f.reduce_scalar(acc)
+    splits = [k for k in range(1, n) if not h[k][k - 1]]
+    chi, blocks = [f.one], []
+    for s, e in zip([0] + splits, splits + [n]):
+        minors = [[f.one]]  # minors[k - s] is P_k
+        for k in range(s, e):
+            prev = minors[-1]
+            nxt = [f.zero] + prev
+            for j, y in enumerate(prev):
+                nxt[j] -= h[k][k] * y
+            t = f.one
+            for i in range(k - 1, s - 1, -1):
+                t = f.reduce_scalar(t * h[i + 1][i])
+                c = h[i][k] * t
+                if c:
+                    for j, y in enumerate(minors[i - s]):
+                        nxt[j] -= c * y
+            minors.append(list(f.reduce(nxt)))
+        blocks.append(minors[-1])
+        chi = _poly_mul(f, chi, minors[-1])
+    return chi, blocks
 
 
 def _roots(f: Field, c) -> list:
@@ -309,7 +319,7 @@ def _trim(c) -> list:
 def _poly_eval(f: Field, c, x):
     acc = f.zero
     for y in reversed(c):
-        acc = f.add(f.mul(acc, x), y)
+        acc = f.reduce_scalar(acc * x + y)
     return acc
 
 
@@ -318,8 +328,8 @@ def _poly_mul(f: Field, a, b) -> list:
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = f.add(out[i + j], f.mul(x, y))
-    return out
+                out[i + j] += x * y
+    return list(f.reduce(out))
 
 
 def _poly_divmod(f: Field, a, b):
@@ -423,6 +433,15 @@ class GrowingSpan:
         return s
 
 
+def _span(field: Field, ambient: int, vectors) -> "Subspace":
+    """The span of vectors of field elements of length ``ambient``, inserted
+    as they are; :meth:`Subspace.span` is the builder for outside input."""
+    g = GrowingSpan(field, ambient)
+    for v in vectors:
+        g.insert(v)
+    return g.to_subspace()
+
+
 class Subspace:
     """A subspace of F^n held as its unique reduced row-echelon basis."""
 
@@ -436,13 +455,14 @@ class Subspace:
 
     @classmethod
     def span(cls, field: Field, ambient: int, vectors) -> "Subspace":
-        g = GrowingSpan(field, ambient)
+        """The span of outside vectors, canonicalized through :meth:`Field.of`."""
+        canonical = []
         for v in vectors:
             v = tuple(field.of(x) for x in v)
             if len(v) != ambient:
                 raise ShapeError(f"vector of length {len(v)} in ambient dimension {ambient}")
-            g.insert(v)
-        return g.to_subspace()
+            canonical.append(v)
+        return _span(field, ambient, canonical)
 
     @property
     def dim(self) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .algebra import LieAlgebra, format_vector, quotient_action
 from .errors import CapabilityError, ContradictionError, HypothesisError, InvarianceError
 from .extremal import EXTREMAL, apply_functional, classify_element
-from .linalg import (Matrix, Subspace, eigenspace, kernel, solve, vec_add, vec_combine,
+from .linalg import (Matrix, Subspace, _span, eigenspace, kernel, solve, vec_add, vec_combine,
                      vec_is_zero, vec_scale, vec_sub)
 
 LABELS = (-2, -1, 0, 1, 2)
@@ -184,7 +184,7 @@ def h_grading(l: LieAlgebra, t: Sl2Triple) -> HGrading:
 
 def quadraticity_check(l: LieAlgebra, t: Sl2Triple) -> bool:
     """Does the nilnegative member act quadratically on L modulo the triple's span?"""
-    s = Subspace.span(l.field, l.dim, [t.x, t.y, t.h])
+    s = _span(l.field, l.dim, [t.x, t.y, t.h])
     m = quotient_action(l, s, [t.y])[0]
     return m.mul(m).is_zero()
 
@@ -211,12 +211,12 @@ def dichotomy(l: LieAlgebra, t: Sl2Triple, g: HGrading) -> DichotomyResult:
     l1 = g.components[1]
     y_lm1 = [l.bracket(t.y, b) for b in lm1.basis]
     images = [l.bracket(t.y, c) for c in y_lm1]
-    target = Subspace.span(f, l.dim, images)
+    target = _span(f, l.dim, images)
     if target.dim > 0:
         if f.p != 5:
             raise ContradictionError(
                 "[y, [y, L_-1]] is nonzero in characteristic != 5; structure constants corrupt")
-        x_line = Subspace.span(f, l.dim, [t.x])
+        x_line = _span(f, l.dim, [t.x])
         if target != x_line:
             raise ContradictionError("[y, [y, L_-1]] is not the line through x")
         a = Matrix.from_columns(f, images)
@@ -230,8 +230,8 @@ def dichotomy(l: LieAlgebra, t: Sl2Triple, g: HGrading) -> DichotomyResult:
     check = _Relations(ContradictionError, "regular-branch verification")
     check("y_extremal", classify_element(l, t.y).kind == EXTREMAL)
     check("x_maps_L1_onto_L-1",
-          Subspace.span(f, l.dim, [l.bracket(t.x, b) for b in l1.basis]) == lm1)
+          _span(f, l.dim, [l.bracket(t.x, b) for b in l1.basis]) == lm1)
     check("y_maps_L-1_onto_L1",
-          Subspace.span(f, l.dim, y_lm1) == l1)
+          _span(f, l.dim, y_lm1) == l1)
     check("integer_grading", g.z_graded)
     return DichotomyResult("regular", None, GRADING_MAP_NOTE)

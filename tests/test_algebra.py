@@ -468,6 +468,43 @@ def test_shifted_meataxe_reaches_nullity_one_on_sl_n(n, p, basis):
     assert v.detail == "kernel lines of a nullity-1 operator generate the module and its dual"
 
 
+def _search_kernels(l, monkeypatch):
+    """meataxe_simple's verdict on l and the square matrices whose kernels it
+    computes past the centre and derived-algebra checks, in order."""
+    from lieext import algebra
+
+    square = []
+    structural = algebra._structural_verdict
+
+    def after_prelude(l):
+        verdict = structural(l)
+        square.clear()
+        return verdict
+
+    def recording_kernel(m):
+        if m.rows == m.cols:
+            square.append(m)
+        return kernel(m)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(algebra, "_structural_verdict", after_prelude)
+        patch.setattr(algebra, "kernel", recording_kernel)
+        return algebra.meataxe_simple(l), square
+
+
+@pytest.mark.parametrize("n, p", [(4, 5), (5, 7)])
+def test_shift_search_computes_one_kernel(n, p, monkeypatch):
+    # past the centre and derived algebra, the square kernels are the
+    # search's and that of its transpose: a root of exactly one Hessenberg
+    # block has nullity 1, so no other shift is tried (a search trying every
+    # root in turn takes 15 kernels on sl4/F5 and 23 on sl5/F7)
+    from lieext.algebra import _sl
+
+    v, square = _search_kernels(_sl(Field(p), n), monkeypatch)
+    assert v.detail == "kernel lines of a nullity-1 operator generate the module and its dual"
+    assert len(square) == 2 and square[1] == square[0].transpose()
+
+
 def test_shift_search_on_large_fields():
     # the shifts are the F_p-roots of each candidate's characteristic
     # polynomial, so p never has to be enumerated
@@ -552,6 +589,57 @@ def test_meataxe_finds_ideals_past_the_prelude(make, p, ideal_dim):
     reference = is_simple(l)
     assert not reference.simple
     _assert_proper_ideal(l, reference.witness_ideal)
+
+
+def _direct_sum(p, *parts):
+    table, names = {}, []
+    for name in parts:
+        summand = builtin(name, p)
+        shift = len(names)
+        table.update({(i + shift, j + shift): [(k + shift, c) for k, c in terms]
+                      for (i, j), terms in summand.table.items()})
+        names += [f"{b}{shift}" for b in summand.names]
+    return LieAlgebra(Field(p), names, table)
+
+
+def _per_root_operator(l):
+    # the shift search as it was before the Hessenberg blocks: every root of
+    # every candidate in walk order, a kernel each, the first of nullity 1
+    from lieext import algebra
+    from lieext.linalg import _charpoly, _roots
+
+    f = l.field
+    rng = random.Random(algebra.SIMPLICITY_SEED)
+    samples = [tuple(f.random(rng) for _ in range(l.dim)) for _ in range(24)]
+    thetas = [l.ad(l.basis_vector(i)) for i in range(l.dim)]
+    thetas += [l.ad(x) for x in samples if not vec_is_zero(x)]
+    for theta in thetas:
+        for lam in _roots(f, _charpoly(theta)[0]):
+            t = theta.add_scalar_diag(f.neg(lam))
+            if kernel(t).dim == 1:
+                return t
+
+
+@pytest.mark.parametrize("p, parts, basis", [
+    (5, ("sl2", "sl2"), "standard"),
+    (7, ("sl2", "sl2"), "random"),
+    (5, ("sl3", "sl3"), "random"),
+    (7, ("sl3", "sl2"), "standard"),
+    (7, ("sl2", "sl3"), "random"),
+    (5, ("witt5", "sl2"), "standard"),
+])
+def test_meataxe_witness_on_direct_sums_matches_the_per_root_search(p, parts, basis, monkeypatch):
+    # the search computes a kernel only at a root of exactly one Hessenberg
+    # block, so it may pass a shift of nullity 1 whose root lies in two
+    # blocks; on these sums it still takes the per-root search's operator,
+    # and the witness, read off that operator's kernel, is the same
+    l = _direct_sum(p, *parts)
+    if basis == "random":
+        l = on_random_basis(l, random.Random(10 * p + len(parts)))[0]
+    v, square = _search_kernels(l, monkeypatch)
+    assert not v.simple and v.detail == "proper ideal found"
+    assert square[0] == _per_root_operator(l)
+    _assert_proper_ideal(l, v.witness_ideal)
 
 
 @pytest.mark.parametrize("table, detail, witness", [

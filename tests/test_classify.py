@@ -586,19 +586,27 @@ def test_chain_identities_hold_on_a_table_that_breaks_jacobi(p):
 
 @pytest.mark.parametrize("name, p, x_index", [("sl3", 7, 1), ("sl4", 5, 2)])
 def test_certificate_bracket_count(name, p, x_index, monkeypatch):
-    """25 brackets per generator: the chain a1..a4, [y,a1..a3], [x,a3],
-    nine relation brackets, the five of exp_ad and three on [y,u]."""
+    """No dense bracket per generator: every relation applies ad(x), ad(y),
+    ad(z) or ad(u), each built once.  exp_ad builds its own ad(z) and
+    classify_element its own ad(u)."""
     l = builtin(name, p)
     triple, grading = pipeline(l, l.basis_vector(x_index))
-    calls = []
-    bracket = LieAlgebra.bracket
+    brackets, ads = [], []
+    bracket, ad = LieAlgebra.bracket, LieAlgebra.ad
 
     def counting_bracket(self, u, v):
-        calls.append((u, v))
+        brackets.append((u, v))
         return bracket(self, u, v)
 
+    def counting_ad(self, v):
+        ads.append(tuple(v))
+        return ad(self, v)
+
     monkeypatch.setattr(LieAlgebra, "bracket", counting_bracket)
+    monkeypatch.setattr(LieAlgebra, "ad", counting_ad)
     for z in grading.components[1].basis:
-        calls.clear()
-        extremal_from_L1(l, triple, grading, z)
-        assert len(calls) == 25
+        brackets.clear()
+        ads.clear()
+        cert = extremal_from_L1(l, triple, grading, z)
+        assert brackets == []
+        assert ads == [triple.x, triple.y, z, z, cert.u, cert.u]

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from lieext import Field, Matrix, ShapeError, Subspace, eigenspace, kernel, rref, solve
-from lieext.linalg import (GrowingSpan, _charpoly, eigenvalues, vec_add, vec_combine,
+from lieext.algebra import _sl, builtin
+from lieext.linalg import (GrowingSpan, _charpoly, _poly_mul, _roots, vec_add, vec_combine,
                            vec_scale)
 
-from conftest import rand_vec
+from conftest import on_random_basis, rand_vec
 
 
 def mat(field, rows):
@@ -171,6 +172,19 @@ def _conjugate(a, rng):
     return g.mul(a).mul(g_inv)
 
 
+def _block_product(a):
+    """The product of the block factors ``_charpoly`` returns."""
+    out = [a.field.one]
+    for block in _charpoly(a)[1]:
+        out = _poly_mul(a.field, out, block)
+    return out
+
+
+def eigenvalues(a):
+    """The distinct eigenvalues of ``a`` in GF(p), in increasing order."""
+    return _roots(a.field, _charpoly(a)[0])
+
+
 def test_charpoly_of_conjugated_companion_matrix(rng):
     # the companion matrix of a monic c has characteristic polynomial c
     for f in (Field(2), Field(7), Field(101)):
@@ -178,7 +192,91 @@ def test_charpoly_of_conjugated_companion_matrix(rng):
             c = [f.random(rng) for _ in range(n)] + [f.one]
             rows = [[int(i == j + 1) for j in range(n - 1)] + [f.neg(c[i])] for i in range(n)]
             a = _conjugate(mat(f, rows), rng)
-            assert _charpoly(a) == c
+            assert _charpoly(a)[0] == _block_product(a) == c
+
+
+def reference_charpoly(a):
+    """det(x*1 - a) by the single recurrence over the whole Hessenberg form,
+    reduced after every operation: the reference for the block factors."""
+    f, n = a.field, a.rows
+    h = [list(r) for r in a.data]
+    for m in range(n - 2):
+        src = next((i for i in range(m + 1, n) if h[i][m]), None)
+        if src is None:
+            continue
+        if src != m + 1:
+            h[src], h[m + 1] = h[m + 1], h[src]
+            for row in h:
+                row[src], row[m + 1] = row[m + 1], row[src]
+        inv = f.inv(h[m + 1][m])
+        for i in range(m + 2, n):
+            u = f.mul(h[i][m], inv)
+            if u:
+                h[i] = [f.sub(x, f.mul(u, y)) for x, y in zip(h[i], h[m + 1])]
+                for row in h:
+                    row[m + 1] = f.add(row[m + 1], f.mul(u, row[i]))
+    minors = [[f.one]]
+    for k in range(n):
+        nxt = [f.zero] + minors[k]
+        for j, y in enumerate(minors[k]):
+            nxt[j] = f.sub(nxt[j], f.mul(h[k][k], y))
+        t = f.one
+        for i in range(k - 1, -1, -1):
+            t = f.mul(t, h[i + 1][i])
+            if not t:
+                break
+            c = f.mul(h[i][k], t)
+            if c:
+                for j, y in enumerate(minors[i]):
+                    nxt[j] = f.sub(nxt[j], f.mul(c, y))
+        minors.append(nxt)
+    return minors[n]
+
+
+def _block_cases(rng):
+    """Random matrices, sparse ones among them so that the Hessenberg form
+    splits, and ad matrices of sl_n and witt5."""
+    for f in (Field(5), Field(7), Field(2**31 - 1)):
+        for _ in range(25):
+            n = rng.randint(1, 8)
+            density = rng.choice((0.2, 0.5, 1.0))
+            yield Matrix.from_rows(f, [[f.random(rng) if rng.random() < density else 0
+                                        for _ in range(n)] for _ in range(n)])
+    algebras = [builtin("witt5", 5), _sl(Field(5), 4), _sl(Field(7), 4), _sl(Field(7), 3)]
+    algebras.append(on_random_basis(_sl(Field(5), 3), rng)[0])
+    for l in algebras:
+        for i in range(l.dim):
+            yield l.ad(l.basis_vector(i))
+        for _ in range(3):
+            yield l.ad(rand_vec(l.field, l.dim, rng))
+
+
+def test_charpoly_blocks_multiply_to_the_characteristic_polynomial(rng):
+    split = 0
+    for a in _block_cases(rng):
+        chi, blocks = _charpoly(a)
+        assert all(b[-1] == a.field.one for b in blocks)
+        assert chi == _block_product(a) == reference_charpoly(a)
+        split += len(blocks) > 1
+    assert split > 10
+
+
+def test_a_root_of_exactly_one_block_has_nullity_one(rng):
+    # an unreduced Hessenberg block is nonderogatory, and the rank of a block
+    # triangular matrix is at least the sum of its diagonal blocks' ranks
+    singles = 0
+    for a in _block_cases(rng):
+        roots = [lam for block in _charpoly(a)[1] for lam in _roots(a.field, block)]
+        for lam in set(roots):
+            if roots.count(lam) == 1:
+                assert eigenspace(a, lam).dim == 1
+                singles += 1
+    assert singles > 50
+
+
+def test_charpoly_needs_a_square_matrix(gf7):
+    with pytest.raises(ShapeError):
+        _charpoly(mat(gf7, [[1, 2]]))
 
 
 def test_eigenvalues_are_the_singular_shifts(rng):
@@ -207,8 +305,6 @@ def test_eigenvalues_outside_the_prime_field(gf7):
     # x^2 - 3 is irreducible over GF(7): the rotation has no eigenvalue there
     assert eigenvalues(mat(gf7, [[0, 3], [1, 0]])) == []
     assert eigenvalues(mat(Field(101), [[0, 2], [1, 0]])) == []
-    with pytest.raises(ShapeError):
-        eigenvalues(mat(gf7, [[1, 2]]))
 
 
 def test_rank_nullity(rng):

@@ -1,0 +1,52 @@
+"""The summary of tools/perf_pairs.py on fixed pairs of benchmark results."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+TOOL = pathlib.Path(__file__).parent.parent / "tools" / "perf_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def perf_pairs():
+    spec = importlib.util.spec_from_file_location("perf_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _pairs(parent, change, name):
+    return [{"parent": {name: p}, "change": {name: c}} for p, c in zip(parent, change)]
+
+
+def test_summary_counts_strict_wins_in_the_better_direction(perf_pairs):
+    parent = [27.3, 26.5, 27.1, 20.0]
+    change = [21.8, 20.6, 27.1, 18.9]
+    (line,) = perf_pairs.summarize(_pairs(parent, change, "job_p90_ms"), [("job_p90_ms", "lower")])
+    # inclusive quartiles of 4 values: positions 0.75, 1.5 and 2.25 of the sorted list
+    assert line == ("job_p90_ms (lower is better): parent 26.8 [24.88, 27.15]  "
+                    "change 21.2 [20.18, 23.12]  change better in 3/4")
+    (line,) = perf_pairs.summarize(_pairs(parent, change, "rate"), [("rate", "higher")])
+    assert line.endswith("change better in 0/4")
+
+
+def test_summary_of_one_pair_and_of_several_metrics(perf_pairs):
+    pairs = [{"parent": {"a": 1.0, "b": 5.0}, "change": {"a": 2.0, "b": 4.0}}]
+    lines = perf_pairs.summarize(pairs, [("a", "higher"), ("b", "higher")])
+    assert lines == [
+        "a (higher is better): parent 1 [1, 1]  change 2 [2, 2]  change better in 1/1",
+        "b (higher is better): parent 5 [5, 5]  change 4 [4, 4]  change better in 0/1",
+    ]
+
+
+def test_copy_leaves_out_build_leftovers(perf_pairs, tmp_path):
+    root = tmp_path / "checkout"
+    for part in ("src/pkg", "src/pkg/__pycache__", "perfbench/_work/run", "tests"):
+        (root / part).mkdir(parents=True)
+    (root / "src/pkg/mod.py").write_text("")
+    (root / "src/pkg/__pycache__/mod.pyc").write_text("")
+    (root / "perfbench/run.py").write_text("")
+    copy = perf_pairs.copy_checkout(str(root), str(tmp_path / "copy"))
+    copied = sorted(str(p.relative_to(copy)) for p in pathlib.Path(copy).rglob("*"))
+    assert copied == ["perfbench", "perfbench/run.py", "src", "src/pkg", "src/pkg/mod.py"]
