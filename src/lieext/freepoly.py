@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import re
-from itertools import chain, groupby
+from itertools import chain, groupby, islice
 
 from .errors import CapabilityError, DomainError, ParseError
 from .fields import Field
@@ -97,7 +97,8 @@ class FreePoly:
         return self.algebra.const(other)
 
     def __add__(self, other):
-        return _collect(self.algebra, chain(self.terms.items(), self._lift(other).terms.items()))
+        terms = chain(self.terms.items(), self._lift(other).terms.items())
+        return FreePoly(self.algebra, _collect(self.algebra.field, terms))
 
     __radd__ = __add__
 
@@ -112,29 +113,14 @@ class FreePoly:
         return self._lift(other) + (-self)
 
     def __mul__(self, other):
-        other = self._lift(other)
-        n, m = len(self.terms), len(other.terms)
-        # one unit per term of the expansion, plus one per letter it writes
-        if m * sum(len(w) + 1 for w in self.terms) + n * sum(map(len, other.terms)) > PRODUCT_LIMIT:
-            raise CapabilityError(f"a product of {n} by {m} terms is over the limit of "
-                                  f"{PRODUCT_LIMIT} terms plus letters")
-        mul = self.algebra.field.mul
-        return _collect(self.algebra, ((w1 + w2, mul(c1, c2))
-                                       for w1, c1 in self.terms.items()
-                                       for w2, c2 in other.terms.items()))
+        return FreePoly(self.algebra, _product(self.algebra.field, self.terms,
+                                               self._lift(other).terms))
 
     def __rmul__(self, other):
         return self._lift(other) * self
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise DomainError("powers must be nonnegative integers")
-        if n > EXPONENT_LIMIT:
-            raise CapabilityError(f"exponent {n} is over the limit of {EXPONENT_LIMIT}")
-        acc = self.algebra.one()
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        return FreePoly(self.algebra, _power(self.algebra.field, self.terms, n))
 
     def __eq__(self, other):
         if isinstance(other, FreePoly):
@@ -174,10 +160,10 @@ class FreePoly:
     __repr__ = __str__
 
 
-def _collect(algebra: FreeAlgebra, pairs) -> FreePoly:
-    """Sum (word, coefficient) pairs into one polynomial.  A word whose sum
+def _collect(field: Field, pairs) -> dict:
+    """Sum (word, coefficient) pairs into one term dict.  A word whose sum
     reaches zero is dropped at once, so if it comes back it comes last."""
-    add = algebra.field.add
+    add = field.add
     out = {}
     for w, c in pairs:
         c = add(out[w], c) if w in out else c
@@ -185,7 +171,46 @@ def _collect(algebra: FreeAlgebra, pairs) -> FreePoly:
             out[w] = c
         else:
             out.pop(w, None)
-    return FreePoly(algebra, out)
+    return out
+
+
+def _product(field: Field, left: dict, right: dict) -> dict:
+    """The term dict of ``left * right``.
+
+    When one side has a single term, concatenation sends distinct words to
+    distinct words and nonzero coefficients stay nonzero, so the expansion
+    needs no collecting: it is one term per term of the other side, in the
+    order the general expansion gives them."""
+    n, m = len(left), len(right)
+    # one unit per term of the expansion, plus one per letter it writes
+    if m * (sum(map(len, left)) + n) + n * sum(map(len, right)) > PRODUCT_LIMIT:
+        raise CapabilityError(f"a product of {n} by {m} terms is over the limit of "
+                              f"{PRODUCT_LIMIT} terms plus letters")
+    one, mul = field.one, field.mul
+    if n == 1:
+        (w1, c1), = left.items()
+        if c1 is one:
+            return {w1 + w2: c2 for w2, c2 in right.items()}
+        return {w1 + w2: mul(c1, c2) for w2, c2 in right.items()}
+    if m == 1:
+        (w2, c2), = right.items()
+        if c2 is one:
+            return {w1 + w2: c1 for w1, c1 in left.items()}
+        return {w1 + w2: mul(c1, c2) for w1, c1 in left.items()}
+    return _collect(field, ((w1 + w2, mul(c1, c2))
+                            for w1, c1 in left.items() for w2, c2 in right.items()))
+
+
+def _power(field: Field, terms: dict, n) -> dict:
+    """The term dict of ``terms`` to the ``n``-th power, one product at a time."""
+    if not isinstance(n, int) or n < 0:
+        raise DomainError("powers must be nonnegative integers")
+    if n > EXPONENT_LIMIT:
+        raise CapabilityError(f"exponent {n} is over the limit of {EXPONENT_LIMIT}")
+    acc = {(): field.one}
+    for _ in range(n):
+        acc = _product(field, acc, terms)
+    return acc
 
 
 def _format_word(w) -> str:
@@ -300,14 +325,21 @@ def span_closure(algebra: FreeAlgebra, rules, max_degree: int):
 # expression parser
 # ---------------------------------------------------------------------------
 
-# fraction | integer | word | operator | any other character, between
-# whitespace.  A word must start with a letter, not with a numeric like "²".
-_TOKEN = re.compile(r"(\d+)/(\d+)|(\d+)|([^\W\d_]\w*)|([-+*^()])|(\S)")
+# operator | word | fraction | integer | any other character, between
+# whitespace.  Only a fraction and an integer can start alike, and the
+# fraction is tried first.  A word must start with a letter, not with a
+# numeric like "²".
+_TOKEN = re.compile(r"([-+*^()])|([^\W\d_]\w*)|(\d+)/(\d+)|(\d+)|(\S)")
+_FACTOR_START = frozenset(("int", "frac", "word", "("))
 
 
 class _Parser:
+    """Recursive descent over (kind, value) tokens; every rule returns a
+    term dict, and the one FreePoly is built from the whole expression's."""
+
     def __init__(self, algebra: FreeAlgebra, text: str, bindings):
         self.algebra = algebra
+        self.field = algebra.field
         self.text = text
         self.bindings = bindings
         self.tokens = self._tokenize()
@@ -316,100 +348,130 @@ class _Parser:
 
     def _tokenize(self):
         tokens = []
-        for m in _TOKEN.finditer(self.text):
-            num, den, integer, word, op, _ = m.groups()
-            i = m.start()
-            if word and word[0].isalpha():
-                tokens.append(("word", word, i))
-            elif op:
-                tokens.append((op, op, i))
-            elif num or integer:
+        for op, word, num, den, integer, _ in _TOKEN.findall(self.text):
+            if op:
+                tokens.append((op, op))
+            elif word and word[0].isalpha():
+                tokens.append(("word", word))
+            elif integer or num:
                 try:
-                    value = (int(num), int(den)) if num else int(integer)
+                    tokens.append(("int", int(integer)) if integer
+                                  else ("frac", (int(num), int(den))))
                 except ValueError:  # more digits than int() converts
-                    raise ParseError("number has too many digits", position=i) from None
-                tokens.append(("frac" if num else "int", value, i))
+                    raise self._error("number has too many digits", len(tokens)) from None
             else:
-                raise ParseError(f"unexpected character {self.text[i]!r}", position=i)
-        tokens.append(("end", None, len(self.text)))
+                pos = self._position(len(tokens))
+                raise ParseError(f"unexpected character {self.text[pos]!r}", position=pos)
+        tokens.append(("end", None))
         return tokens
 
-    def _peek(self):
-        return self.tokens[self.cursor]
+    def _position(self, index) -> int:
+        """Where token ``index`` starts.  Only errors need positions, so they
+        are found by scanning the text again."""
+        m = next(islice(_TOKEN.finditer(self.text), index, None), None)
+        return len(self.text) if m is None else m.start()
 
-    def _next(self):
-        tok = self.tokens[self.cursor]
-        self.cursor += 1
-        return tok
+    def _error(self, message, index) -> ParseError:
+        return ParseError(message, position=self._position(index))
 
     def parse(self) -> FreePoly:
-        poly = self._expr()
-        kind, _, pos = self._peek()
-        if kind != "end":
-            raise ParseError("trailing input", position=pos)
-        return poly
+        terms = self._expr()
+        if self.tokens[self.cursor][0] != "end":
+            raise self._error("trailing input", self.cursor)
+        return FreePoly(self.algebra, terms)
 
-    def _expr(self) -> FreePoly:
+    def _expr(self) -> dict:
         """A flat sum: every summand is gathered, then added up once."""
-        summands = []
-        sign = self._next()[0] if self._peek()[0] == "-" else "+"
+        neg, summands = self.field.neg, []
+        sign = self.tokens[self.cursor][0]
+        if sign == "-":
+            self.cursor += 1
         while True:
-            term = self._term()
-            summands.append(term.terms.items() if sign == "+" else (-term).terms.items())
-            if self._peek()[0] not in ("+", "-"):
-                return _collect(self.algebra, chain.from_iterable(summands))
-            sign = self._next()[0]
+            terms = self._term()
+            summands.append([(w, neg(c)) for w, c in terms.items()] if sign == "-"
+                            else terms.items())
+            sign = self.tokens[self.cursor][0]
+            if sign != "+" and sign != "-":
+                return _collect(self.field, chain.from_iterable(summands))
+            self.cursor += 1
 
-    def _term(self) -> FreePoly:
+    def _term(self) -> dict:
         acc = self._factor()
         while True:
-            kind = self._peek()[0]
+            kind = self.tokens[self.cursor][0]
             if kind == "*":
-                self._next()
-                acc = acc * self._factor()
-            elif kind in ("int", "frac", "word", "("):
-                acc = acc * self._factor()
-            else:
+                self.cursor += 1
+            elif kind not in _FACTOR_START:
                 return acc
+            run = self._run()
+            acc = _product(self.field, acc, {run: self.field.one} if run else self._factor())
 
-    def _factor(self) -> FreePoly:
+    def _run(self) -> tuple:
+        """The letters of the bare alphabet tokens from the cursor on, joined
+        by "*" or juxtaposed, so that a run costs one product, not one per
+        token.  A binding, or a token raised to a power, ends the run."""
+        tokens, index, letters = self.tokens, self.algebra.index, []
+        i = self.cursor
+        while True:
+            kind, value = tokens[i]
+            if kind != "word" or tokens[i + 1][0] == "^" or value in self.bindings:
+                break
+            if value in index:
+                letters.append(value)
+            elif all(c in index for c in value):
+                letters += value
+            else:
+                break
+            self.cursor = i = i + 1
+            if tokens[i][0] == "*":
+                i += 1
+        return tuple(letters)
+
+    def _factor(self) -> dict:
         base = self._atom()
-        if self._peek()[0] == "^":
-            self._next()
-            kind, value, pos = self._next()
-            if kind != "int":
-                raise ParseError("exponent must be a nonnegative integer", position=pos)
-            base = base**value
-        return base
+        if self.tokens[self.cursor][0] != "^":
+            return base
+        kind, value = self.tokens[self.cursor + 1]
+        self.cursor += 2
+        if kind != "int":
+            raise self._error("exponent must be a nonnegative integer", self.cursor - 1)
+        return _power(self.field, base, value)
 
-    def _atom(self) -> FreePoly:
-        kind, value, pos = self._next()
-        if kind == "int":
-            return self.algebra.const(value)
-        if kind == "frac":
-            num, den = value
-            f = self.algebra.field
-            den_val = f.of(den)
-            if not den_val:
-                raise ParseError(f"denominator {den} vanishes in this field", position=pos)
-            return self.algebra.const(f.div(f.of(num), den_val))
+    def _atom(self) -> dict:
+        kind, value = self.tokens[self.cursor]
+        self.cursor += 1
+        if kind == "word":
+            if value in self.bindings:
+                poly = self.bindings[value]
+                if poly.algebra != self.algebra:
+                    raise DomainError("operands live in different free algebras")
+                return poly.terms
+            if value in self.algebra.index:
+                return self.algebra.symbol(value).terms
+            if all(c in self.algebra.index for c in value):
+                return self.algebra.word(value).terms
+            raise self._error(f"unknown symbol {value!r}", self.cursor - 1)
         if kind == "(":
             if self.depth == DEPTH_LIMIT:
-                raise ParseError(f"parentheses nested deeper than {DEPTH_LIMIT}", position=pos)
+                raise self._error(f"parentheses nested deeper than {DEPTH_LIMIT}",
+                                  self.cursor - 1)
             self.depth += 1
             inner = self._expr()
             self.depth -= 1
-            k, _, p2 = self._next()
-            if k != ")":
-                raise ParseError("expected ')'", position=p2)
+            if self.tokens[self.cursor][0] != ")":
+                raise self._error("expected ')'", self.cursor)
+            self.cursor += 1
             return inner
-        if kind == "word":
-            if value in self.bindings:
-                return self.bindings[value]
-            if value in self.algebra.index:
-                return self.algebra.symbol(value)
-            if all(c in self.algebra.index for c in value):
-                return self.algebra.word(tuple(value))
-            raise ParseError(f"unknown symbol {value!r}", position=pos)
-        raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input",
-                         position=pos)
+        field = self.field
+        if kind == "int":
+            c = field.of(value)
+        elif kind == "frac":
+            num, den = value
+            den_val = field.of(den)
+            if not den_val:
+                raise self._error(f"denominator {den} vanishes in this field", self.cursor - 1)
+            c = field.div(field.of(num), den_val)
+        else:
+            raise self._error(f"unexpected token {value!r}" if value
+                              else "unexpected end of input", self.cursor - 1)
+        return {(): c} if c else {}

@@ -1,6 +1,9 @@
-from itertools import product
+import re
+from importlib import resources
+from itertools import chain, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieext import (
     CapabilityError,
@@ -9,10 +12,12 @@ from lieext import (
     FreeAlgebra,
     ParseError,
     RewriteRule,
+    certscript,
+    freepoly,
     reduce_poly,
     span_closure,
 )
-from lieext.freepoly import DEPTH_LIMIT, EXPONENT_LIMIT
+from lieext.freepoly import DEPTH_LIMIT, EXPONENT_LIMIT, PRODUCT_LIMIT, FreePoly
 
 
 @pytest.fixture
@@ -85,6 +90,13 @@ def test_parse_bindings(xy):
     r = xy.parse("X*Y - Y*X")
     p = xy.parse("H^2", bindings={"H": r})
     assert p == r * r
+
+
+def test_parse_refuses_a_binding_from_another_algebra(xy, xyv):
+    foreign = {"H": xyv.parse("V*X")}
+    for text in ("H", "X*H", "H*X"):
+        with pytest.raises(DomainError, match="different free algebras"):
+            xy.parse(text, foreign)
 
 
 # -- arithmetic ----------------------------------------------------------------
@@ -388,3 +400,353 @@ def test_flat_sum_keeps_the_order_of_pairwise_addition(xy):
     assert list(p.terms) == [("Y",), ("X", "Y"), ("X",)]
     assert list((xy.symbol("X") + xy.symbol("Y") - xy.symbol("X") + xy.parse("X*Y")
                  + xy.symbol("X")).terms) == list(p.terms)
+
+
+# -- the pairwise reference parser ---------------------------------------------------
+
+_REF_TOKEN = re.compile(r"(\d+)/(\d+)|(\d+)|([^\W\d_]\w*)|([-+*^()])|(\S)")
+
+
+def _ref_collect(field, pairs):
+    out = {}
+    for w, c in pairs:
+        c = field.add(out[w], c) if w in out else c
+        if c:
+            out[w] = c
+        else:
+            out.pop(w, None)
+    return out
+
+
+def _ref_mul(a, b):
+    """Every pair of terms expanded, then collected: no short cut."""
+    left, right, f = a.terms, b.terms, a.algebra.field
+    n, m = len(left), len(right)
+    if m * sum(len(w) + 1 for w in left) + n * sum(map(len, right)) > PRODUCT_LIMIT:
+        raise CapabilityError(f"a product of {n} by {m} terms is over the limit of "
+                              f"{PRODUCT_LIMIT} terms plus letters")
+    return FreePoly(a.algebra, _ref_collect(f, ((w1 + w2, f.mul(c1, c2))
+                                                for w1, c1 in left.items()
+                                                for w2, c2 in right.items())))
+
+
+class _ReferenceParser:
+    """One FreePoly per atom, one expanded and collected product per "*" or
+    juxtaposition, a power as repeated products from 1, and a flat sum
+    collected once; every token keeps its position."""
+
+    def __init__(self, algebra, text, bindings):
+        self.algebra, self.text, self.bindings = algebra, text, bindings
+        self.tokens = []
+        for m in _REF_TOKEN.finditer(text):
+            num, den, integer, word, op, _ = m.groups()
+            i = m.start()
+            if word and word[0].isalpha():
+                self.tokens.append(("word", word, i))
+            elif op:
+                self.tokens.append((op, op, i))
+            elif num or integer:
+                try:
+                    value = (int(num), int(den)) if num else int(integer)
+                except ValueError:
+                    raise ParseError("number has too many digits", position=i) from None
+                self.tokens.append(("frac" if num else "int", value, i))
+            else:
+                raise ParseError(f"unexpected character {text[i]!r}", position=i)
+        self.tokens.append(("end", None, len(text)))
+        self.cursor = self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.cursor][0]
+
+    def next(self):
+        self.cursor += 1
+        return self.tokens[self.cursor - 1]
+
+    def parse(self):
+        poly = self.expr()
+        if self.peek() != "end":
+            raise ParseError("trailing input", position=self.tokens[self.cursor][2])
+        return poly
+
+    def expr(self):
+        summands = []
+        sign = self.next()[0] if self.peek() == "-" else "+"
+        while True:
+            term = self.term()
+            summands.append((term if sign == "+" else -term).terms.items())
+            if self.peek() not in ("+", "-"):
+                return FreePoly(self.algebra,
+                                _ref_collect(self.algebra.field, chain.from_iterable(summands)))
+            sign = self.next()[0]
+
+    def term(self):
+        acc = self.factor()
+        while self.peek() in ("*", "int", "frac", "word", "("):
+            if self.peek() == "*":
+                self.next()
+            acc = _ref_mul(acc, self.factor())
+        return acc
+
+    def factor(self):
+        base = self.atom()
+        if self.peek() != "^":
+            return base
+        self.next()
+        kind, n, pos = self.next()
+        if kind != "int":
+            raise ParseError("exponent must be a nonnegative integer", position=pos)
+        if n > EXPONENT_LIMIT:
+            raise CapabilityError(f"exponent {n} is over the limit of {EXPONENT_LIMIT}")
+        acc = self.algebra.one()
+        for _ in range(n):
+            acc = _ref_mul(acc, base)
+        return acc
+
+    def atom(self):
+        kind, value, pos = self.next()
+        a, f = self.algebra, self.algebra.field
+        if kind == "int":
+            return a.const(value)
+        if kind == "frac":
+            if not f.of(value[1]):
+                raise ParseError(f"denominator {value[1]} vanishes in this field", position=pos)
+            return a.const(f.div(f.of(value[0]), f.of(value[1])))
+        if kind == "(":
+            if self.depth == DEPTH_LIMIT:
+                raise ParseError(f"parentheses nested deeper than {DEPTH_LIMIT}", position=pos)
+            self.depth += 1
+            inner = self.expr()
+            self.depth -= 1
+            k, _, p2 = self.next()
+            if k != ")":
+                raise ParseError("expected ')'", position=p2)
+            return inner
+        if kind == "word":
+            if value in self.bindings:
+                return self.bindings[value]
+            if value in a.index:
+                return a.symbol(value)
+            if all(c in a.index for c in value):
+                return a.word(tuple(value))
+            raise ParseError(f"unknown symbol {value!r}", position=pos)
+        raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input",
+                         position=pos)
+
+
+def _reference_parse(algebra, text, bindings=None):
+    return _ReferenceParser(algebra, text, bindings or {}).parse()
+
+
+def _outcome(parse, algebra, text, bindings=None):
+    """The terms in order, or the error's type, message and position."""
+    try:
+        return list(parse(algebra, text, bindings).terms.items())
+    except (ParseError, CapabilityError) as e:
+        return type(e), str(e), getattr(e, "position", None)
+
+
+def _agree(algebra, text, bindings=None):
+    got = _outcome(FreeAlgebra.parse, algebra, text, bindings)
+    assert got == _outcome(_reference_parse, algebra, text, bindings), text
+    return got
+
+
+# the script lines that hold expressions: (pattern, its expression groups)
+_EXPRESSION_LINES = ((certscript._RE_LET, (2,)), (certscript._RE_RULE, (1, 2)),
+                     (certscript._RE_ASSERT_REDUCE, (1, 2)), (certscript._RE_ASSERT_SPAN, (2,)))
+
+
+def _shipped_expressions():
+    """(symbols, [(expression, the name a let binds to it, or None)]) of each
+    shipped script."""
+    scripts = []
+    for name in ("lemma22.cert", "prop32.cert", "thm23_span.cert"):
+        text = resources.files("lieext").joinpath("certs", name).read_text(encoding="utf-8")
+        symbols, exprs = None, []
+        for _, line in certscript._logical_lines(text):
+            if line.startswith("symbols"):
+                symbols = tuple(line.split()[1:])
+            for pattern, groups in _EXPRESSION_LINES:
+                m = pattern.match(line)
+                if m:
+                    let = m.group(1) if pattern is certscript._RE_LET else None
+                    exprs += [(m.group(g), let) for g in groups]
+                    break
+        scripts.append((symbols, exprs))
+    return scripts
+
+
+SHIPPED = _shipped_expressions()
+ORACLE_FIELDS = (Field(5), Field(7), Field(0))
+
+
+@pytest.mark.parametrize("field", [Field(0), Field(5), Field(7), Field(11)], ids=repr)
+def test_parse_matches_the_pairwise_reference_on_the_shipped_scripts(field):
+    count = 0
+    for symbols, exprs in SHIPPED:
+        algebra, bindings = FreeAlgebra(field, symbols), {}
+        for text, name in exprs:
+            assert isinstance(_agree(algebra, text, bindings), list)
+            count += 1
+            if name is not None:
+                bindings[name] = algebra.parse(text, bindings)
+    assert count == 53
+
+
+def _oracle_algebra(field):
+    a = FreeAlgebra(field, ("X", "Y"))
+    return a, {"A": a.parse("X - Y"), "B": a.parse("2*X*Y + 1/3"), "Z": a.zero()}
+
+
+ATOMS = st.sampled_from(["X", "Y", "XY", "YXX", "0", "1", "2", "5", "12", "1/2", "2/3", "0/4",
+                         "A", "B", "Z"])
+VANISHING = st.sampled_from(["3/5", "4/7"])   # denominators that vanish mod 5 or 7
+
+
+@st.composite
+def expressions(draw, depth=2):
+    """Sums of terms of factors: symbols, runs of them, juxtaposed words,
+    bindings (Z is zero), integers and fractions (some zero, some with a
+    denominator that vanishes mod 5 or 7), parenthesized sums and powers."""
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        text = ""
+        for k in range(draw(st.integers(1, 5))):
+            if k:
+                text += draw(st.sampled_from(["*", "*", " * ", " "]))
+            pick = draw(st.integers(0, 39))
+            if depth and pick < 8:
+                text += "(" + draw(expressions(depth - 1)) + ")"
+                text += draw(st.sampled_from(["", "", "", "^0", "^1", "^2"]))
+            else:
+                text += draw(VANISHING if pick == 8 else ATOMS)
+                text += draw(st.sampled_from(["", "", "", "^0", "^1", "^2", "^3"]))
+        terms.append(text)
+    text = draw(st.sampled_from(["", "", "-"])) + terms[0]
+    for t in terms[1:]:
+        text += draw(st.sampled_from([" + ", " - ", "+", "-"])) + t
+    return text
+
+
+@st.composite
+def mutated(draw, texts):
+    """``texts`` with characters inserted, deleted or replaced."""
+    text = draw(texts)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        new = draw(st.sampled_from(list("()^*+-/ 0X") + ["Q", "²", "½", "^70", "^-1"]))
+        cut = draw(st.integers(0, 1))
+        text = text[:i] + draw(st.sampled_from([new, ""])) + text[i + cut:]
+    return text
+
+
+ORACLE = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+
+@ORACLE
+@given(st.sampled_from(ORACLE_FIELDS), expressions())
+def test_parse_matches_the_pairwise_reference_on_generated_expressions(field, text):
+    algebra, bindings = _oracle_algebra(field)
+    _agree(algebra, text, bindings)
+
+
+@ORACLE
+@given(st.sampled_from(ORACLE_FIELDS), mutated(expressions()))
+def test_parse_matches_the_pairwise_reference_on_malformed_expressions(field, text):
+    algebra, bindings = _oracle_algebra(field)
+    _agree(algebra, text, bindings)
+
+
+SHIPPED_TEXTS = [(symbols, text) for symbols, exprs in SHIPPED for text, _ in exprs]
+
+
+@ORACLE
+@given(st.sampled_from(ORACLE_FIELDS), st.integers(0, len(SHIPPED_TEXTS) - 1), st.data())
+def test_parse_matches_the_pairwise_reference_on_malformed_shipped_expressions(field, k, data):
+    symbols, text = SHIPPED_TEXTS[k]
+    algebra = FreeAlgebra(field, symbols)
+    _agree(algebra, data.draw(mutated(st.just(text))))
+
+
+# -- bounds on the no-collect path ---------------------------------------------------
+
+def test_product_limit_between_a_monomial_and_a_wide_polynomial(xy):
+    wide = xy.parse(" + ".join("".join(w) for w in product("XY", repeat=10)))
+    # 1024 * (965 + 1) + 1024 * 10 = 999,424 units; one more letter is 1,000,448
+    for text, shape in (("{}*W", "1 by 1024"), ("W*{}", "1024 by 1"), ("W {}", "1024 by 1")):
+        assert len(_agree(xy, text.format("X" * 965), {"W": wide})) == 1024
+        assert _agree(xy, text.format("X" * 966), {"W": wide})[:2] == (
+            CapabilityError, f"a product of {shape} terms is over the limit of {PRODUCT_LIMIT} "
+            "terms plus letters")
+    monomial = xy.word("X" * 966)
+    for left, right in ((monomial, wide), (wide, monomial)):
+        with pytest.raises(CapabilityError) as err:
+            left * right
+        with pytest.raises(CapabilityError) as ref:
+            _ref_mul(left, right)
+        assert str(err.value) == str(ref.value)
+
+
+def test_product_limit_on_a_run_of_symbols(xy):
+    # a run of ten tokens is one product; the letter-by-letter products of
+    # the reference make the same last check: 10^6 letters plus one term
+    run = "*".join(["XY" * 50_000] * 10)
+    assert _agree(xy, run)[:2] == (
+        CapabilityError, f"a product of 1 by 1 terms is over the limit of {PRODUCT_LIMIT} "
+        "terms plus letters")
+    assert _agree(xy, run[:-1])[0][0] == ("X", "Y") * 499_999 + ("X",)
+    assert _agree(xy, "2*" + run)[0] == CapabilityError
+    # after a factor of two terms, every letter of the run is written twice
+    half = "X" * 249_999
+    assert len(_agree(xy, "(X + Y)*" + half + "*" + half)) == 2
+    assert _agree(xy, "(X + Y)*" + half + "*" + half + "X")[:2] == (
+        CapabilityError, f"a product of 2 by 1 terms is over the limit of {PRODUCT_LIMIT} "
+        "terms plus letters")
+
+
+def test_product_limit_on_nested_powers(xy):
+    assert _agree(xy, "((X^64)^64)^64") == [(("X",) * 64**3, 1)]
+    assert _agree(xy, "(((X^64)^64)^64)^64")[:2] == (
+        CapabilityError, f"a product of 1 by 1 terms is over the limit of {PRODUCT_LIMIT} "
+        "terms plus letters")
+
+
+def test_exponent_and_depth_limits_match_the_reference(xy):
+    for text in (f"X^{EXPONENT_LIMIT}", f"X^{EXPONENT_LIMIT + 1}", f"(X + Y)^{EXPONENT_LIMIT + 1}",
+                 "X^-1", "X^Y", "X^", "(" * DEPTH_LIMIT + "X" + ")" * DEPTH_LIMIT,
+                 "(" * (DEPTH_LIMIT + 1) + "X" + ")" * (DEPTH_LIMIT + 1)):
+        _agree(xy, text)
+    with pytest.raises(CapabilityError, match="exponent 65"):
+        xy.symbol("X") ** 65
+    with pytest.raises(DomainError):
+        xy.symbol("X") ** -1
+
+
+# -- what the single term dict saves --------------------------------------------------
+
+def test_a_run_of_symbols_is_collected_once(xy, monkeypatch):
+    calls = []
+    collect = freepoly._collect
+    monkeypatch.setattr(freepoly, "_collect", lambda *args: calls.append(1) or collect(*args))
+    assert xy.parse("X*Y*X*Y*X") == xy.word("XYXYX")
+    assert len(calls) == 1
+
+
+def test_products_with_a_one_term_factor_neither_add_nor_multiply_by_one(xy, monkeypatch):
+    wide = xy.parse(" + ".join("".join(w) for w in product("XY", repeat=4)))
+    counts = {"add": 0, "mul": 0}
+    for name in counts:
+        original = getattr(Field, name)
+
+        def counted(self, a, b, _original=original, _name=name):
+            counts[_name] += 1
+            return _original(self, a, b)
+
+        monkeypatch.setattr(Field, name, counted)
+    x = xy.symbol("X")
+    assert len((x * wide * x).terms) == len((x ** 2 * wide).terms) == 16
+    assert xy.parse("X*Y X*(Y*X)") == xy.word("XYXYX")
+    assert counts == {"add": 0, "mul": 0}
+    assert len((3 * wide).terms) == 16
+    assert counts == {"add": 0, "mul": 16}

@@ -31,7 +31,8 @@ def digest(data: bytes) -> str:
 
 
 def generate(gen, rounds, workload, seed, outdir, rel):
-    """Write one run's inputs and return its jobs' argv lists.
+    """Write one run's inputs and return its job dicts (argv, kind, label,
+    weight in its round's cycle).
 
     run.py shuffles each round's job cycle with the generator that draws the
     inputs, so the shuffle is repeated here to keep later rounds identical."""
@@ -43,7 +44,7 @@ def generate(gen, rounds, workload, seed, outdir, rel):
         cycle = [k for k, job in enumerate(inputs.jobs) if job["round"] == r
                  for _ in range(job["weight"])]
         rng.shuffle(cycle)
-    return [job["argv"] for job in inputs.jobs]
+    return inputs.jobs
 
 
 def run_job(cli, argv):
@@ -79,7 +80,8 @@ def main(argv=None):
                 for seed in SEEDS:
                     rel = f"{workload}-s{seed}"
                     os.mkdir(rel)
-                    argvs += generate(gen, run.ROUNDS, workload, seed, os.path.join(tmp, rel), rel)
+                    jobs = generate(gen, run.ROUNDS, workload, seed, os.path.join(tmp, rel), rel)
+                    argvs += [job["argv"] for job in jobs]
             for rel in sorted(os.listdir(tmp)):
                 for name in sorted(os.listdir(rel)):
                     with open(os.path.join(rel, name), "rb") as fh:
