@@ -9,10 +9,12 @@ a single coordinate cannot produce a false positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import mul
 
 from .algebra import EXHAUSTIVE_LIMIT, LieAlgebra, _projective_representatives
 from .errors import CapabilityError, DomainError, HypothesisError
-from .linalg import _dot, vec_is_zero, vec_ratio, vec_scale
+from .linalg import _dot, vec_is_zero, vec_scale
 
 NOT_EXTREMAL = "not_extremal"
 SANDWICH = "sandwich"
@@ -32,19 +34,59 @@ class ExtremalStatus:
 
 def classify_element(l: LieAlgebra, x) -> ExtremalStatus:
     """Decide whether x is extremal, and if so recover its functional.
-    Column j of ad(x) is [x, b_j], so ad(x) maps it to [x, [x, b_j]]."""
+    Column j of ad(x) is [x, b_j]."""
     x = l.check_vector(x)
     if vec_is_zero(x):
         raise DomainError("the zero vector has no extremal functional")
-    a = l.ad(x)
-    functional = []
-    for column in zip(*a.data):
-        c = vec_ratio(l.field, a.apply(column), x)
-        if c is None:
-            return ExtremalStatus(x, NOT_EXTREMAL, None)
-        functional.append(c)
-    kind = SANDWICH if all(not c for c in functional) else EXTREMAL
-    return ExtremalStatus(x, kind, tuple(functional))
+    functional = _functional(l.field, tuple(zip(*l.ad(x).data)), x)
+    return ExtremalStatus(x, _kind(functional), functional)
+
+
+def _functional(field, cols, x):
+    """The functional f with [x, [x, b_j]] = f_j x, from the columns
+    cols[j] = [x, b_j] of ad(x) for a nonzero x, or None when x is not
+    extremal.  ad(x) maps b_k to cols[k], so it maps cols[j] to
+    w = sum_k cols[j][k] cols[k] = [x, [x, b_j]]; f_j is read off x's
+    leading coordinate and w = f_j x is checked on every coordinate.
+
+    Most x are not extremal and already fail on the first column, so that
+    one is checked a coordinate at a time, coordinate i of w being row i of
+    ad(x) dotted with the nonzero entries of cols[0]; the other columns are
+    summed from their nonzero entries.  Zero entries are skipped throughout,
+    which keeps a sparse ad(x), and rational arithmetic, cheap."""
+    reduce = field.reduce_scalar
+    lead = next(i for i, a in enumerate(x) if a)
+    inv = field.inv(x[lead])
+    first = cols[0]
+    entries = list(compress(first, first))
+    s = field.zero
+    for i, (row, a) in enumerate(zip(zip(*cols), x)):
+        w = sum(map(mul, compress(row, first), entries))
+        if i == lead:
+            s = reduce(w * inv)
+        elif reduce(w - s * a):
+            return None
+    functional = [s]
+    zero = [field.zero] * len(x)
+    for col in cols[1:]:
+        w = zero
+        for c, image in zip(col, cols):
+            if c:
+                w = [a + c * b if b else a for a, b in zip(w, image)]
+        w = field.reduce(w)
+        s = reduce(w[lead] * inv)
+        if w != vec_scale(field, s, x):
+            return None
+        functional.append(s)
+    return tuple(functional)
+
+
+def _kind(functional) -> str:
+    """NOT_EXTREMAL when there is no functional (None), SANDWICH when it
+    vanishes, else EXTREMAL."""
+    if functional is None:
+        return NOT_EXTREMAL
+    return EXTREMAL if any(functional) else SANDWICH
 
 
 def require_extremal(l: LieAlgebra, x) -> ExtremalStatus:
@@ -80,17 +122,33 @@ def exhaustive_scan(l: LieAlgebra, representatives_only: bool = False) -> ScanRe
     is the same as classifying every vector.  Vectors come out in
     lexicographic coordinate order.  With ``representatives_only`` each line
     appears once, through its representative.
+
+    ad(x) is linear in x, so the scan keeps the columns of ad(x) mod p and,
+    when coordinate i of x moves from a to b, adds (b - a) ad(b_i) through
+    the nonzero brackets [b_i, b_j]; consecutive representatives differ
+    mostly in one coordinate.  No matrix is built per line.
     """
     f = l.field
-    p = f.p
+    p, n = f.p, l.dim
     if p == 0:
         raise CapabilityError("exhaustive scan needs a finite field")
-    if p**l.dim > EXHAUSTIVE_LIMIT:
+    if p**n > EXHAUSTIVE_LIMIT:
         raise CapabilityError(f"exhaustive scan limited to p^n <= {EXHAUSTIVE_LIMIT}")
     counts = {NOT_EXTREMAL: 0, SANDWICH: 0, EXTREMAL: 0}
     found = {SANDWICH: [], EXTREMAL: []}
-    for v in _projective_representatives(f, l.dim):
-        kind = classify_element(l, v).kind
+    cols = [[0] * n for _ in range(n)]
+    # terms[i]: (column j of ad(x), k, c) for each term c b_k of [b_i, b_j]
+    terms = [[(cols[j], k, c) for j, bracket in l._rows[i].items() for k, c in bracket]
+             for i in range(n)]
+    x = (0,) * n                # cols holds the columns of ad(x)
+    for v in _projective_representatives(f, n):
+        for i, (a, b) in enumerate(zip(x, v)):
+            if a != b:
+                d = b - a
+                for col, k, c in terms[i]:
+                    col[k] = (col[k] + d * c) % p
+        x = v
+        kind = _kind(_functional(f, cols, v))
         counts[kind] += p - 1
         if kind in found:
             found[kind].extend([v] if representatives_only

@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import re
 from itertools import chain, groupby, islice
+from operator import eq
 
 from .errors import CapabilityError, DomainError, ParseError
 from .fields import Field
@@ -214,7 +215,10 @@ def _power(field: Field, terms: dict, n) -> dict:
 
 
 def _format_word(w) -> str:
-    """Runs of a letter as powers: ("X", "X", "Y") -> "X^2*Y"."""
+    """Runs of a letter as powers: ("X", "X", "Y") -> "X^2*Y".  A word with
+    no letter repeated next to itself has no run to group."""
+    if not any(map(eq, w, w[1:])):
+        return "*".join(w)
     runs = ((s, len(list(run))) for s, run in groupby(w))
     return "*".join(s if n == 1 else f"{s}^{n}" for s, n in runs)
 

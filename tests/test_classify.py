@@ -587,8 +587,8 @@ def test_chain_identities_hold_on_a_table_that_breaks_jacobi(p):
 @pytest.mark.parametrize("name, p, x_index", [("sl3", 7, 1), ("sl4", 5, 2)])
 def test_certificate_bracket_count(name, p, x_index, monkeypatch):
     """No dense bracket per generator: every relation applies ad(x), ad(y),
-    ad(z) or ad(u), each built once.  exp_ad builds its own ad(z) and
-    classify_element its own ad(u)."""
+    ad(z) or ad(u), each built once; u is checked extremal on the columns
+    of that ad(u).  exp_ad builds its own ad(z)."""
     l = builtin(name, p)
     triple, grading = pipeline(l, l.basis_vector(x_index))
     brackets, ads = [], []
@@ -609,4 +609,4 @@ def test_certificate_bracket_count(name, p, x_index, monkeypatch):
         ads.clear()
         cert = extremal_from_L1(l, triple, grading, z)
         assert brackets == []
-        assert ads == [triple.x, triple.y, z, z, cert.u, cert.u]
+        assert ads == [triple.x, triple.y, z, z, cert.u]

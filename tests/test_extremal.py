@@ -343,7 +343,8 @@ def _vector_scan(l, representatives_only):
                       representatives_only)
 
 
-@pytest.mark.parametrize("case", ["sl2/F5", "sl2/F7 random basis", "witt5/F5", "heisenberg/F5"])
+@pytest.mark.parametrize("case", ["sl2/F5", "sl2/F7 random basis", "sl2/F11", "sl2/F13", "witt5/F5",
+                                  "heisenberg/F5", "wittext5/F5 random basis"])
 @pytest.mark.parametrize("representatives_only", [False, True])
 def test_exhaustive_scan_matches_vector_by_vector_scan(case, representatives_only, rng):
     name, p = case.split()[0].split("/F")
@@ -376,26 +377,36 @@ def test_exhaustive_scan_classifies_one_vector_per_line(monkeypatch, representat
     import lieext.extremal
 
     calls = []
+    kernel = lieext.extremal._functional
 
-    def counted(l, x):
+    def counted(field, cols, x):
         calls.append(x)
-        return classify_element(l, x)
+        return kernel(field, cols, x)
 
-    monkeypatch.setattr(lieext.extremal, "classify_element", counted)
+    monkeypatch.setattr(lieext.extremal, "_functional", counted)
     scan = exhaustive_scan(builtin("sl2", 7), representatives_only)
     assert len(calls) == (7**3 - 1) // 6 == 57
     assert all(next(c for c in v if c) == 1 for v in calls)
     assert sum(scan.counts.values()) == 7**3 - 1
 
 
-def test_exhaustive_scan_sl3_f5_point_count():
+def _check_sl3_f5_point_count(l):
     # Point-count oracle (Cohen-Steinbach-Ushirobira-Wales): sl3 over F_q has
     # (q^3 - 1)(q^2 - 1)/(q - 1)^2 extremal points, 186 for q = 5, the lines
     # of rank-one nilpotent matrices; there are no sandwiches.
     q = 5
-    scan = exhaustive_scan(builtin("sl3", q), representatives_only=True)
+    scan = exhaustive_scan(l, representatives_only=True)
     points = (q**3 - 1) * (q**2 - 1) // (q - 1) ** 2
     assert len(scan.extremal) == points == 186
     assert scan.counts[EXTREMAL] == points * (q - 1) == 744
     assert scan.sandwich == () and scan.counts[SANDWICH] == 0
     assert sum(scan.counts.values()) == q**8 - 1
+
+
+def test_exhaustive_scan_sl3_f5_point_count():
+    _check_sl3_f5_point_count(builtin("sl3", 5))
+
+
+def test_exhaustive_scan_sl3_f5_point_count_on_a_random_basis(rng):
+    # The count belongs to the algebra, not to its basis.
+    _check_sl3_f5_point_count(on_random_basis(builtin("sl3", 5), rng)[0])

@@ -1,6 +1,6 @@
 import re
 from importlib import resources
-from itertools import chain, product
+from itertools import chain, groupby, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -750,3 +750,33 @@ def test_products_with_a_one_term_factor_neither_add_nor_multiply_by_one(xy, mon
     assert counts == {"add": 0, "mul": 0}
     assert len((3 * wide).terms) == 16
     assert counts == {"add": 0, "mul": 16}
+
+
+# -- word formatting ------------------------------------------------------------------
+
+def _grouped_word(w):
+    """Every word through groupby: runs of a letter as powers."""
+    runs = ((s, len(list(run))) for s, run in groupby(w))
+    return "*".join(s if n == 1 else f"{s}^{n}" for s, n in runs)
+
+
+@st.composite
+def alternating_words(draw):
+    """Words over X, Y, Z with no letter next to itself."""
+    w = []
+    for _ in range(draw(st.integers(0, 12))):
+        w.append(draw(st.sampled_from([s for s in ("X", "Y", "Z") if not w or s != w[-1]])))
+    return tuple(w)
+
+
+@ORACLE
+@given(st.one_of(alternating_words(),
+                 st.lists(st.sampled_from(["X", "Y", "Z", "Ab"]), max_size=12).map(tuple)))
+def test_format_word_matches_the_grouped_form(w):
+    assert freepoly._format_word(w) == _grouped_word(w)
+
+
+def test_format_word_examples():
+    assert freepoly._format_word(("X", "Y", "X")) == "X*Y*X"
+    assert freepoly._format_word(("X", "X", "Y", "Y", "Y", "X")) == "X^2*Y^3*X"
+    assert freepoly._format_word(()) == ""

@@ -6,7 +6,7 @@
 Generates the inputs of perfbench workload W at seed S with the change's
 ``perfbench/gen.py``, drawn exactly as ``perfbench/run.py`` draws them, into
 a temporary directory outside both checkouts; ``--kind`` keeps only the jobs
-of one kind (check, classify, extremal or cert).  The change's ``lieext``
+of one kind (check, classify, scan or cert).  The change's ``lieext``
 is imported from its ``src/``; the parent's package is copied into the
 temporary directory as ``lieext_parent`` and imported under that name, so
 both run in this one process.  Each distinct job runs once on each side
@@ -136,6 +136,8 @@ def main(argv=None):
             jobs = distinct_jobs(job_digests.generate(
                 gen, run.ROUNDS, args.workload, args.seed, os.path.join(tmp, "inputs"), "inputs"),
                 args.kind)
+            if not jobs:
+                ap.error(f"{args.workload} has no jobs of kind {args.kind!r}")
             for job in jobs:
                 outputs = [job_digests.run_job(clis[side], job["argv"]) for side in SIDES]
                 job["same"] = outputs[0] == outputs[1]
