@@ -117,9 +117,11 @@ class LieAlgebra:
         return f.reduce(out)
 
     def ad(self, x) -> Matrix:
-        """Matrix of ad_x = [x, .]: column j is sum_i x_i [b_i, b_j]."""
-        x = self.check_vector(x)
+        """Matrix of ad_x = [x, .]: column j is sum_i x_i [b_i, b_j].  Like
+        :meth:`bracket`, it takes field elements as they are."""
         f, n = self.field, self.dim
+        if len(x) != n:
+            raise ShapeError(f"vector of length {len(x)} in a {n}-dimensional algebra")
         data = [[f.zero] * n for _ in range(n)]
         for i, xi in enumerate(x):
             if not xi:
@@ -387,7 +389,7 @@ def quotient_action(l: LieAlgebra, s: Subspace, actors) -> list:
     comp = complement_indices(s)
     out = []
     for a in actors:
-        m = l.ad(a)
+        m = l.ad(l.check_vector(a))
         if not all(s.contains(m.apply(row)) for row in s.basis):
             raise InvarianceError("actor does not preserve the subspace")
         cols = m.transpose().data

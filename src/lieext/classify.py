@@ -37,13 +37,13 @@ VERDICT_WITT = "WittExceptional"
 VERDICT_GENERATED = "ExtremalGenerated"
 
 
-def exp_ad(l: LieAlgebra, z, x):
-    """exp(ad_z) applied to x, truncated at degree 4 with exact coefficients
-    1, 1, 1/2, 1/6, 1/24.  Requires ad_z to kill x after five steps."""
+def exp_ad(l: LieAlgebra, adz, x):
+    """exp(ad_z) applied to x, given the matrix ``adz`` = ad(z), truncated
+    at degree 4 with exact coefficients 1, 1, 1/2, 1/6, 1/24.  Requires
+    ad_z to kill x after five steps."""
     require_good_characteristic(l)
-    z, x = l.check_vector(z), l.check_vector(x)
+    x = l.check_vector(x)
     f = l.field
-    adz = l.ad(z)
     terms = [x]
     for _ in range(4):
         terms.append(adz.apply(terms[-1]))
@@ -107,7 +107,7 @@ def extremal_from_L1(l: LieAlgebra, t: Sl2Triple, g: HGrading, z) -> ExtremalGen
     check("adz_of_[[h1,z],x]",
           adz.apply(b_minus) == vec_scale(f, f.div(alpha, two), h))
 
-    u = exp_ad(l, z, x)
+    u = exp_ad(l, adz, x)
     adu = l.ad(u)
     yu = ady.apply(u)
     check("[y,u]=-h-z", yu == vec_sub(f, l.zero(), vec_add(f, h, z)))

@@ -48,12 +48,6 @@ class FreeAlgebra:
     def __hash__(self):
         return hash((self.field, self.alphabet))
 
-    def zero(self) -> "FreePoly":
-        return FreePoly(self, {})
-
-    def one(self) -> "FreePoly":
-        return FreePoly(self, {(): self.field.one})
-
     def const(self, c) -> "FreePoly":
         c = self.field.of(c)
         return FreePoly(self, {(): c} if c else {})
@@ -82,13 +76,15 @@ class FreeAlgebra:
 
 
 class FreePoly:
-    """Formal sum of words; ``terms`` maps a word tuple to a nonzero scalar."""
+    """Formal sum of words; ``terms`` maps a word tuple to a nonzero scalar.
+    The constructor stores the dict it is given: every builder in this
+    module hands it nonzero terms."""
 
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra: FreeAlgebra, terms):
         self.algebra = algebra
-        self.terms = {w: c for w, c in terms.items() if c}
+        self.terms = terms
 
     def _lift(self, other):
         if isinstance(other, FreePoly):

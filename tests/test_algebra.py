@@ -250,6 +250,19 @@ def test_bracket_shape_errors(witt5):
         witt5.bracket((1, 2), witt5.zero())
 
 
+def test_ad_checks_the_length_only(witt5, rng, monkeypatch):
+    with pytest.raises(ShapeError, match="vector of length 2 in a 5-dimensional algebra"):
+        witt5.ad((1, 2))
+    u = rand_vec(witt5.field, 5, rng)
+    calls = []
+    of = Field.of
+    monkeypatch.setattr(Field, "of", lambda self, c: calls.append(c) or of(self, c))
+    m = witt5.ad(u)
+    assert calls == []
+    assert [m.apply(witt5.basis_vector(j)) for j in range(5)] == \
+        [witt5.bracket(u, witt5.basis_vector(j)) for j in range(5)]
+
+
 # -- validation -------------------------------------------------------------
 
 def test_mutated_witt5_fails_jacobi(witt5):

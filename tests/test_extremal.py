@@ -192,7 +192,7 @@ def test_exhaustive_witt5_extremal_plane_is_an_exp_orbit(witt5):
     d2 = witt5.basis_vector(2)
     for t in range(5):
         z = vec_scale(f, f.of(t), witt5.basis_vector(3))
-        image = exp_ad(witt5, z, d2)
+        image = exp_ad(witt5, witt5.ad(z), d2)
         for lam in range(1, 5):
             orbit.add(vec_scale(f, f.of(lam), image))
     assert orbit == set(scan.extremal)
@@ -271,7 +271,7 @@ def _sl3_conjugates():
     # extremal vectors, enough to pin g down.
     l = builtin("sl3", 7)
     roots = [l.basis_vector(i) for i in range(6)]
-    vectors = {exp_ad(l, vec_scale(l.field, l.field.of(t), z), x)
+    vectors = {exp_ad(l, l.ad(vec_scale(l.field, l.field.of(t), z)), x)
                for x in roots for z in roots for t in (1, 2)}
     assert len(vectors) == 39
     return l, sorted(vectors)

@@ -121,7 +121,7 @@ def test_commutator_square_expansion(xy):
 
 def test_scalar_and_power_operations(xy):
     x = xy.symbol("X")
-    assert x**0 == xy.one()
+    assert x**0 == xy.const(1)
     assert x**3 == xy.parse("X^3")
     with pytest.raises(DomainError):
         x ** (-1)
@@ -163,7 +163,7 @@ def test_print_parse_round_trip_random(rng):
                 c = field.random(rng)
                 if c:
                     terms[w] = c
-            p = a.zero()
+            p = a.const(0)
             for w, c in terms.items():
                 p = p + c * a.word(w)
             assert a.parse(str(p)) == p
@@ -172,7 +172,7 @@ def test_print_parse_round_trip_random(rng):
 # -- rewrite rules ----------------------------------------------------------------
 
 def test_rule_constructor_enforces_termination(xy):
-    zero = xy.zero()
+    zero = xy.const(0)
     RewriteRule(xy, ("X", "X"), zero)
     RewriteRule(xy, ("X", "Y", "X"), xy.symbol("X"))
     RewriteRule(xy, ("Y", "X"), xy.parse("X*Y"))       # equal length, lex smaller
@@ -183,28 +183,28 @@ def test_rule_constructor_enforces_termination(xy):
     with pytest.raises(DomainError):
         RewriteRule(xy, ("X",), xy.parse("X*Y"))       # longer
     with pytest.raises(DomainError):
-        RewriteRule(xy, (), xy.zero())
+        RewriteRule(xy, (), xy.const(0))
     with pytest.raises(DomainError):
-        RewriteRule(xy, ("Q",), xy.zero())
+        RewriteRule(xy, ("Q",), xy.const(0))
 
 
 def test_reduce_pair_relation_with_square_rule(xy):
     r1 = xy.parse("X^2*Y - 2*X*Y*X + Y*X^2 + 2*X")
-    rules = [RewriteRule(xy, ("X", "X"), xy.zero())]
+    rules = [RewriteRule(xy, ("X", "X"), xy.const(0))]
     assert reduce_poly(r1, rules) == xy.parse("-2*X*Y*X + 2*X")
 
 
 def test_reduce_left_multiplied_relation(xy):
     r2 = xy.parse("-X*Y^2 + 2*Y*X*Y - Y^2*X - 2*Y")
-    rules = [RewriteRule(xy, ("X", "X"), xy.zero()),
+    rules = [RewriteRule(xy, ("X", "X"), xy.const(0)),
              RewriteRule(xy, ("X", "Y", "X"), xy.symbol("X"))]
     assert reduce_poly(xy.symbol("X") * r2, rules) == xy.parse("-X*Y^2*X")
 
 
 def test_reduce_cubic_identity(xy):
     rules = [
-        RewriteRule(xy, ("X", "X"), xy.zero()),
-        RewriteRule(xy, ("Y", "Y"), xy.zero()),
+        RewriteRule(xy, ("X", "X"), xy.const(0)),
+        RewriteRule(xy, ("Y", "Y"), xy.const(0)),
         RewriteRule(xy, ("X", "Y", "X"), xy.symbol("X")),
         RewriteRule(xy, ("Y", "X", "Y"), xy.symbol("Y")),
     ]
@@ -214,7 +214,7 @@ def test_reduce_cubic_identity(xy):
 
 def test_reduce_strategy_rule_order_matters_and_is_fixed(xy):
     # both rules match the word XYX at position 0; list order decides
-    long_first = [RewriteRule(xy, ("X", "Y", "X"), xy.zero()),
+    long_first = [RewriteRule(xy, ("X", "Y", "X"), xy.const(0)),
                   RewriteRule(xy, ("X", "Y"), xy.symbol("X"))]
     short_first = list(reversed(long_first))
     w = xy.word(("X", "Y", "X"))
@@ -231,7 +231,7 @@ def test_reduce_leftmost_position_wins(xy):
 def _reduce_termwise(p, rules):
     """Reference reduction: each term rewritten on its own, left to right,
     rules in list order at each position, summed only at the end."""
-    stack, out = list(p.terms.items()), p.algebra.zero()
+    stack, out = list(p.terms.items()), p.algebra.const(0)
     while stack:
         word, coeff = stack.pop()
         hit = next(((pos, r) for pos in range(len(word)) for r in rules
@@ -252,7 +252,7 @@ def test_reduce_matches_termwise_rewriting(rng):
         return tuple(rng.choice(a.alphabet) for _ in range(length))
 
     def random_poly(words):
-        return sum((rng.randint(1, 6) * a.word(w) for w in words), a.zero())
+        return sum((rng.randint(1, 6) * a.word(w) for w in words), a.const(0))
 
     for _ in range(60):
         rules = []
@@ -274,12 +274,12 @@ def test_reduce_merges_like_words_before_rewriting(xy):
 
 def test_reduce_is_linear_and_idempotent(xy, rng):
     rules = [
-        RewriteRule(xy, ("X", "X"), xy.zero()),
+        RewriteRule(xy, ("X", "X"), xy.const(0)),
         RewriteRule(xy, ("X", "Y", "X"), xy.symbol("X")),
     ]
 
     def random_poly():
-        p = xy.zero()
+        p = xy.const(0)
         for _ in range(rng.randint(0, 4)):
             w = tuple(rng.choice("XY") for _ in range(rng.randint(0, 5)))
             p = p + rng.randint(-3, 3) * xy.word(w)
@@ -294,7 +294,7 @@ def test_reduce_is_linear_and_idempotent(xy, rng):
 
 
 def test_verify_reduction_reports_residual(xy):
-    rules = [RewriteRule(xy, ("X", "X"), xy.zero())]
+    rules = [RewriteRule(xy, ("X", "X"), xy.const(0))]
     got = reduce_poly(xy.parse("X^2*Y + X"), rules)
     assert got == xy.parse("X")
     assert got - xy.parse("Y") == xy.parse("X - Y")
@@ -304,8 +304,8 @@ def test_verify_reduction_reports_residual(xy):
 
 def test_span_closure_of_quadratic_pair(xy):
     rules = [
-        RewriteRule(xy, ("X", "X"), xy.zero()),
-        RewriteRule(xy, ("Y", "Y"), xy.zero()),
+        RewriteRule(xy, ("X", "X"), xy.const(0)),
+        RewriteRule(xy, ("Y", "Y"), xy.const(0)),
         RewriteRule(xy, ("X", "Y", "X"), xy.symbol("X")),
         RewriteRule(xy, ("Y", "X", "Y"), xy.symbol("Y")),
     ]
@@ -320,7 +320,7 @@ def test_span_closure_without_rules():
 
 def test_span_closure_with_annihilating_rule():
     a = FreeAlgebra(Field(0), ("X",))
-    rules = [RewriteRule(a, ("X",), a.zero())]
+    rules = [RewriteRule(a, ("X",), a.const(0))]
     assert span_closure(a, rules, 5) == [()]
 
 
@@ -330,7 +330,7 @@ def test_span_closure_degree_cap(xy):
 
 
 def _square_free_rules(algebra):
-    return [RewriteRule(algebra, (s, s), algebra.zero()) for s in algebra.alphabet]
+    return [RewriteRule(algebra, (s, s), algebra.const(0)) for s in algebra.alphabet]
 
 
 def _pair_rules(algebra):
@@ -498,7 +498,7 @@ class _ReferenceParser:
             raise ParseError("exponent must be a nonnegative integer", position=pos)
         if n > EXPONENT_LIMIT:
             raise CapabilityError(f"exponent {n} is over the limit of {EXPONENT_LIMIT}")
-        acc = self.algebra.one()
+        acc = self.algebra.const(1)
         for _ in range(n):
             acc = _ref_mul(acc, base)
         return acc
@@ -596,7 +596,7 @@ def test_parse_matches_the_pairwise_reference_on_the_shipped_scripts(field):
 
 def _oracle_algebra(field):
     a = FreeAlgebra(field, ("X", "Y"))
-    return a, {"A": a.parse("X - Y"), "B": a.parse("2*X*Y + 1/3"), "Z": a.zero()}
+    return a, {"A": a.parse("X - Y"), "B": a.parse("2*X*Y + 1/3"), "Z": a.const(0)}
 
 
 ATOMS = st.sampled_from(["X", "Y", "XY", "YXX", "0", "1", "2", "5", "12", "1/2", "2/3", "0/4",
