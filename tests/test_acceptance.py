@@ -166,6 +166,9 @@ def test_criterion_3_regular_pipeline():
 
 
 def test_criterion_4_completion_property_suite():
+    """The t(t-1)(t-2) check on the centralizer C of x is the proof
+    obligation of complete_sl2's closed form: where ad_h satisfies it on C,
+    (12 - 5t + t^2)/24 in t = ad_h is the inverse of ad_h + 2 there."""
     with criterion(4, "50 seeded witnesses per simple builtin yield verified triples"):
         for name, p in (("sl2", 5), ("sl2", 7), ("sl3", 5), ("sl3", 7),
                         ("sl4", 5), ("sl4", 7), ("witt5", 5)):

@@ -2,12 +2,16 @@ import argparse
 import itertools
 import json
 import pathlib
+import random
 
 import pytest
 
 from lieext import builtin, classify_theorem_main, run_script, scan_basis, to_json
 from lieext import algebra, cli
 from lieext.cli import run
+from lieext.linalg import vec_combine
+
+from conftest import on_random_basis
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -220,6 +224,24 @@ def test_classify_sl3_f7_matches_golden(capsys, tmp_path):
     code, out, _ = invoke(capsys, "classify", str(path), "--x", "0,1,0,0,0,0,0,0")
     assert code == 0
     assert out == (GOLDEN / "classify_sl3_f7.json").read_text()
+
+
+@pytest.mark.parametrize("name,p,x,golden", [
+    ("sl3", 7, (0, 1, 0, 0, 0, 0, 0, 0), "sl2_sl3_f7.json"),   # E13
+    ("witt5", 5, (0, 0, 4, 0, 0), "sl2_witt5.json"),           # -z^2 Dz
+])
+def test_sl2_on_random_basis_matches_golden(capsys, tmp_path, name, p, x, golden):
+    """On a dense basis the witness needs a correction, so the golden pins
+    the completion's x1 and w1, not only the triple."""
+    l = builtin(name, p)
+    dense, old_basis = on_random_basis(l, random.Random(1))
+    path = tmp_path / f"{name}.json"
+    path.write_text(to_json(dense))
+    coords = ",".join(map(l.field.format, vec_combine(l.field, x, old_basis)))
+    code, out, _ = invoke(capsys, "sl2", str(path), "--x", coords)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+    assert set(json.loads(out)["completion"]["w1"]) != {"0"}
 
 
 def test_classify_reads_standard_input(capsys, monkeypatch):

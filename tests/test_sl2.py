@@ -19,7 +19,8 @@ from lieext import (
     center,
     complete_sl2,
 )
-from lieext.linalg import kernel, rref, vec_add, vec_combine, vec_is_zero, vec_scale
+from lieext import algebra, extremal, linalg, sl2
+from lieext.linalg import kernel, rref, solve, vec_add, vec_combine, vec_is_zero, vec_scale
 from lieext.sl2 import LABELS, restrict_operator
 
 from conftest import on_random_basis, rand_vec
@@ -133,18 +134,50 @@ def test_completion_characteristic_guard():
         complete_sl2(l, l.basis_vector(0), l.basis_vector(1))
 
 
-@pytest.mark.parametrize("name,p,_x", SIMPLE_CASES)
-def test_completion_property_suite(name, p, _x):
+# SIMPLE_CASES, then more fields, then designated elements on the basis
+# on_random_basis draws with random.Random(1)
+COMPLETION_CASES = SIMPLE_CASES + [
+    ("sl3", 0, None), ("sl3", 11, None), ("sl3", 13, None),
+    ("sl3", 7, "random_basis"), ("sl4", 5, "random_basis"), ("witt5", 5, "random_basis"),
+]
+
+
+@pytest.mark.parametrize("name,p,_x", COMPLETION_CASES)
+def test_completion_property_suite(name, p, _x, monkeypatch):
     """Fifty seeded admissible witnesses per algebra: the construction always
     lands on a verified triple, with (ad_h + 2) invertible on the centralizer
-    and ad_h annihilated there by t(t-1)(t-2)."""
+    C and ad_h annihilated there by t(t-1)(t-2).  That annihilation is the
+    closed form's proof obligation: with it, (12 - 5t + t^2)/24 inverts
+    t + 2 on C.  The closed form's w1 and y agree with a linear-algebra
+    reference (kernel, restriction, solve), also in characteristic 5, where the
+    [h, x1] term drops out, on dense random bases and over Q; and
+    complete_sl2 builds one adjoint, classify_element's ad(x), and calls
+    no kernel, solve or restrict_operator."""
     l, x = designated(name, p)
+    if _x == "random_basis":
+        l, old_basis = on_random_basis(l, random.Random(1))
+        x = vec_combine(l.field, x, old_basis)
     f = l.field
     st = classify_element(l, x)
     assert st.kind == "extremal_nonsandwich"
     c = kernel(l.ad(x))
+    calls = []
+
+    def counting(label, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(label)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (algebra, extremal, linalg, sl2):
+        for label in ("kernel", "solve", "restrict_operator"):
+            if hasattr(module, label):
+                monkeypatch.setattr(module, label, counting(label, getattr(module, label)))
+    monkeypatch.setattr(LieAlgebra, "ad", counting("ad", LieAlgebra.ad))
     for w in witnesses(l, x, st.functional, 50):
+        calls.clear()
         triple, cert = complete_sl2(l, x, w)
+        assert calls == ["ad"]
         assert triple.x == x
         assert vec_add(f, cert.w, cert.w1) == triple.y
         # the triple depends on w, the relations never do (checked inside
@@ -155,6 +188,12 @@ def test_completion_property_suite(name, p, _x):
         assert rref(shifted)[1] == c.dim
         poly = h_on_c.mul(h_on_c.add_scalar_diag(f.of(-1))).mul(h_on_c.add_scalar_diag(f.of(-2)))
         assert poly.is_zero()
+        # reference: x1's coordinates on C, then one solve with the
+        # restricted ad_h + 2
+        coords = c.coords(cert.x1)
+        assert coords is not None
+        w1 = vec_combine(f, solve(shifted, coords), c.basis)
+        assert cert.w1 == w1 and triple.y == vec_add(f, w, w1)
 
 
 def test_make_triple_checks_relations(witt5):
