@@ -27,6 +27,7 @@ from .linalg import (
     Matrix,
     Subspace,
     _charpoly,
+    _nilpotent_pattern,
     _poly_eval,
     _roots,
     _span,
@@ -51,9 +52,14 @@ class LieAlgebra:
     the i > j half is negated once, here.  Instances are
     immutable; the Jacobi identity is checked by :meth:`validate`, not at
     construction, so that broken tensors can be loaded and reported on.
+
+    :meth:`ad` keeps the last ``2 * dim`` matrices it built, keyed by
+    operand and the oldest dropped first, so the pipeline builds each
+    adjoint it repeats once; like the nonzero columns a ``Matrix`` lists,
+    this cache is not part of the value.
     """
 
-    __slots__ = ("field", "names", "table", "_rows")
+    __slots__ = ("field", "names", "table", "_rows", "_ads")
 
     def __init__(self, field: Field, names, table):
         self.field = field
@@ -80,6 +86,7 @@ class LieAlgebra:
             rows[i][j] = terms
             rows[j][i] = tuple((k, field.neg(c)) for k, c in terms)
         self._rows = rows
+        self._ads = {}
 
     @property
     def dim(self) -> int:
@@ -122,6 +129,10 @@ class LieAlgebra:
         f, n = self.field, self.dim
         if len(x) != n:
             raise ShapeError(f"vector of length {len(x)} in a {n}-dimensional algebra")
+        key = tuple(x)
+        m = self._ads.get(key)
+        if m is not None:
+            return m
         data = [[f.zero] * n for _ in range(n)]
         for i, xi in enumerate(x):
             if not xi:
@@ -129,7 +140,11 @@ class LieAlgebra:
             for j, terms in self._rows[i].items():
                 for k, c in terms:
                     data[k][j] += xi * c
-        return Matrix(f, n, n, tuple(map(f.reduce, data)))
+        m = Matrix(f, n, n, tuple(map(f.reduce, data)))
+        if len(self._ads) >= 2 * n:
+            del self._ads[next(iter(self._ads))]
+        self._ads[key] = m
+        return m
 
     def validate(self) -> "ValidationReport":
         """Exhaustive Jacobi check over all basis triples i < j < k, read
@@ -324,6 +339,11 @@ def meataxe_simple(l: LieAlgebra) -> SimplicityVerdict:
         """Each theta with its eigenvalues in F_p, in increasing order, and
         those that are roots of exactly one of its Hessenberg blocks."""
         for theta in chain(ads, (l.ad(x) for x in samples if not vec_is_zero(x))):
+            if _nilpotent_pattern(theta):
+                # chi = x^n, and 0 lies in two blocks or more, since each
+                # unreduced block has nullity at most 1 and theta at least 2
+                yield theta, [f.zero], []
+                continue
             chi, blocks = _charpoly(theta)
             roots = _roots(f, chi)
             yield theta, roots, [lam for lam in roots

@@ -17,7 +17,8 @@ pivot entry when they read it.
 
 from __future__ import annotations
 
-from itertools import compress
+from collections import Counter
+from itertools import chain, compress
 
 from .errors import ShapeError
 from .fields import Field
@@ -60,8 +61,9 @@ def unit_vec(field: Field, n, i):
 class Matrix:
     """Immutable dense matrix; ``data`` is a tuple of row tuples of field
     elements, which the constructor takes as they are.  The nonzero columns
-    of each row are listed on the first :meth:`apply`; they are a cache, not
-    part of the value."""
+    of each row are listed the first time :meth:`apply` or
+    :func:`_nilpotent_pattern` reads them; they are a cache, not part of the
+    value."""
 
     __slots__ = ("field", "rows", "cols", "data", "_nonzero")
 
@@ -105,8 +107,9 @@ class Matrix:
         return all(vec_is_zero(r) for r in self.data)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.cols, self.rows,
-                      tuple(tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)))
+        # zip(*()) would lose the column count of a matrix with no rows
+        data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
+        return Matrix(self.field, self.cols, self.rows, data)
 
     def mul(self, other: "Matrix") -> "Matrix":
         self.field.require_same(other.field)
@@ -125,11 +128,8 @@ class Matrix:
         if len(vec) != self.cols:
             raise ShapeError(f"vector of length {len(vec)} for {self.rows}x{self.cols} matrix")
         f = self.field
-        if self._nonzero is None:
-            columns = range(self.cols)
-            self._nonzero = tuple([tuple(compress(columns, row)) for row in self.data])
         out = []
-        for row, nonzero in zip(self.data, self._nonzero):
+        for row, nonzero in zip(self.data, self._nonzero_columns()):
             acc = f.zero
             for j in nonzero:
                 b = vec[j]
@@ -137,6 +137,13 @@ class Matrix:
                     acc += row[j] * b
             out.append(acc)
         return f.reduce(out)
+
+    def _nonzero_columns(self) -> tuple:
+        """The nonzero columns of each row, listed once."""
+        if self._nonzero is None:
+            columns = range(self.cols)
+            self._nonzero = tuple([tuple(compress(columns, row)) for row in self.data])
+        return self._nonzero
 
     def add_scalar_diag(self, c) -> "Matrix":
         """self + c*I (square only)."""
@@ -272,6 +279,31 @@ def _charpoly(a: Matrix):
         blocks.append(minors[-1])
         chi = _poly_mul(f, chi, minors[-1])
     return chi, blocks
+
+
+def _nilpotent_pattern(a: Matrix) -> bool:
+    """A sufficient test, read off the zero pattern, that a square ``a`` is
+    nilpotent with nullity at least 2: ``a`` has two zero columns or more,
+    and the graph with an edge j -> k for each nonzero a[k][j] has no cycle.
+
+    Without a cycle, ordering the basis along the graph makes ``a`` strictly
+    triangular; each zero column is a kernel vector.  The search runs over
+    the reversed graph, whose sources are the zero columns, removing one
+    source at a time: the graph has no cycle exactly when every node goes."""
+    nonzero = a._nonzero_columns()
+    indegree = Counter(chain.from_iterable(nonzero))
+    sources = [j for j in range(a.cols) if j not in indegree]
+    if len(sources) < 2:
+        return False
+    removed = 0
+    while sources:
+        k = sources.pop()
+        removed += 1
+        for j in nonzero[k]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                sources.append(j)
+    return removed == a.cols
 
 
 def _roots(f: Field, c) -> list:
@@ -419,6 +451,8 @@ class GrowingSpan:
             for m in mats:
                 w = m.apply(u)
                 if self.insert(w):
+                    if self.dim == self.ambient:
+                        return self
                     pool.append(w)
             idx += 1
         return self

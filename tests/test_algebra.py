@@ -263,6 +263,24 @@ def test_ad_checks_the_length_only(witt5, rng, monkeypatch):
         [witt5.bracket(u, witt5.basis_vector(j)) for j in range(5)]
 
 
+def test_ad_keeps_its_last_two_dim_matrices(witt5, rng):
+    f, n = witt5.field, witt5.dim
+    x = rand_vec(f, n, rng)
+    first = witt5.ad(x)
+    assert witt5.ad(list(x)) is first
+    others = []
+    while len(others) < 2 * n:
+        v = rand_vec(f, n, rng)
+        if v != x and v not in others:
+            others.append(v)
+    for v in others[:-1]:
+        witt5.ad(v)
+    assert witt5.ad(x) is first
+    witt5.ad(others[-1])                # the oldest, x, is dropped
+    again = witt5.ad(x)
+    assert again is not first and again == first
+
+
 # -- validation -------------------------------------------------------------
 
 def test_mutated_witt5_fails_jacobi(witt5):
@@ -516,6 +534,27 @@ def test_shift_search_computes_one_kernel(n, p, monkeypatch):
     v, square = _search_kernels(_sl(Field(p), n), monkeypatch)
     assert v.detail == "kernel lines of a nullity-1 operator generate the module and its dual"
     assert len(square) == 2 and square[1] == square[0].transpose()
+
+
+@pytest.mark.parametrize("n, p", [(3, 5), (4, 5), (5, 7)])
+def test_shift_search_skips_the_characteristic_polynomial_of_nilpotent_candidates(
+        n, p, monkeypatch):
+    # the E_ij come first in the basis; each ad(E_ij) has two zero columns or
+    # more and an acyclic pattern, so only H1, which ends the search, needs
+    # its characteristic polynomial (13 were computed on sl4/F5 before)
+    from lieext import algebra
+    from lieext.algebra import _sl
+    from lieext.linalg import _nilpotent_pattern
+
+    l = _sl(Field(p), n)
+    computed = []
+    charpoly = algebra._charpoly
+    monkeypatch.setattr(algebra, "_charpoly", lambda m: computed.append(m) or charpoly(m))
+    assert meataxe_simple(l).simple
+    ads = [l.ad(l.basis_vector(i)) for i in range(l.dim)]
+    walked = ads[:ads.index(computed[-1]) + 1]
+    assert computed == [m for m in walked if not _nilpotent_pattern(m)]
+    assert computed == [l.ad(l.basis_vector(l.names.index("H1")))]
 
 
 def test_shift_search_on_large_fields():

@@ -610,3 +610,26 @@ def test_certificate_bracket_count(name, p, x_index, monkeypatch):
         cert = extremal_from_L1(l, triple, grading, z)
         assert brackets == []
         assert ads == [triple.x, triple.y, z, cert.u]
+
+
+@pytest.mark.parametrize("name, p, x_index", [("sl3", 7, 1), ("sl4", 5, 2)])
+def test_certified_pipeline_builds_each_adjoint_once(name, p, x_index, monkeypatch):
+    """ad keeps the last 2 * dim matrices it built, and a certified run asks
+    for fewer distinct operands than that, so every repeated ad(v), from the
+    simplicity closures to the certificates and subalgebra_closure, is the
+    matrix built the first time."""
+    l = builtin(name, p)
+    built = {}
+    ad = LieAlgebra.ad
+
+    def recording_ad(self, v):
+        m = ad(self, v)
+        built.setdefault(tuple(v), []).append(m)
+        return m
+
+    monkeypatch.setattr(LieAlgebra, "ad", recording_ad)
+    report = classify.classify_theorem_main(l, l.basis_vector(x_index))
+    assert report.verdict == VERDICT_GENERATED
+    assert len(built) <= 2 * l.dim
+    assert sum(map(len, built.values())) > len(built)
+    assert all(m is first for first, *rest in built.values() for m in rest)

@@ -42,6 +42,8 @@ def test_summary_per_label_cycle_quantiles_and_differing_outputs(interleave):
         # medians parent 1.1 x2, 1.4, 2.2 x6, 31 and change 0.8 x2, 1.4, 1.1 x6, 31
         "cycle p50 (10 jobs): parent 2.2 ms, change 1.1 ms, change/parent 0.500",
         "cycle p90 (10 jobs): parent 28.12 ms, change 28.04 ms, change/parent 0.997",
+        # 2 x 1.1 + 1.4 + 6 x 2.2 + 31 and 2 x 0.8 + 1.4 + 6 x 1.1 + 31
+        "cycle total (10 jobs): parent 47.8 ms, change 40.6 ms, change/parent 0.849",
         "outputs differ on 1 of 4 jobs",
     ]
 

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieext import Field, Matrix, ShapeError, Subspace, eigenspace, kernel, rref, solve
 from lieext.algebra import _sl, builtin
-from lieext.linalg import (GrowingSpan, _charpoly, _poly_mul, _roots, vec_add, vec_combine,
-                           vec_scale)
+from lieext.linalg import (GrowingSpan, _charpoly, _nilpotent_pattern, _poly_mul, _roots, vec_add,
+                           vec_combine, vec_scale)
 
 from conftest import on_random_basis, rand_vec
 
@@ -274,6 +275,59 @@ def test_a_root_of_exactly_one_block_has_nullity_one(rng):
     assert singles > 50
 
 
+@st.composite
+def _patterned(draw):
+    """A square matrix over GF(2), GF(5), GF(7) or QQ, about half its entries
+    zero: sparse, strictly upper triangular, strictly triangular on a
+    permuted basis, or one of those with a nonzero diagonal entry."""
+    p = draw(st.sampled_from((2, 5, 7, 0)))
+    f = Field(p)
+    n = draw(st.integers(1, 7))
+    nonzero = (st.integers(1, p - 1) if p else
+               st.fractions(-5, 5, max_denominator=4).filter(bool))
+    entry = st.one_of(st.just(0), nonzero)
+    kind = draw(st.sampled_from(("sparse", "triangular", "permuted", "diagonal")))
+    cells = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if kind != "sparse":
+        cells = [[c if i < j else 0 for j, c in enumerate(row)] for i, row in enumerate(cells)]
+    if kind == "permuted":
+        perm = draw(st.permutations(range(n)))
+        cells = [[cells[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    if kind == "diagonal":
+        k = draw(st.integers(0, n - 1))
+        cells[k][k] = draw(nonzero)
+    return Matrix.from_rows(f, cells)
+
+
+def _pattern_reference(a):
+    """Two zero columns or more, and the 0/1 pattern of ``a`` nilpotent:
+    its n-th boolean power, taken as sets of reachable rows, is zero."""
+    n = a.rows
+    zero_columns = sum(not any(row[j] for row in a.data) for j in range(n))
+    step = [{k for k in range(n) if a.data[k][j]} for j in range(n)]   # j -> k
+    reach = step
+    for _ in range(n - 1):
+        reach = [set().union(*(step[k] for k in targets)) for targets in reach]
+    return zero_columns >= 2 and not any(reach)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_patterned())
+def test_nilpotent_pattern_fires_only_where_charpoly_has_no_single_block_root(a):
+    # meataxe_simple skips _charpoly where the test fires: chi must then be
+    # x^n, its one root 0, and 0 a root of two blocks or more (roots are
+    # found over GF(p) only)
+    fires = _nilpotent_pattern(a)
+    assert fires == _pattern_reference(a)
+    if fires:
+        f, n = a.field, a.rows
+        chi, blocks = _charpoly(a)
+        assert chi == [f.zero] * n + [f.one]
+        assert not f.p or _roots(f, chi) == [f.zero]
+        assert sum(not b[0] for b in blocks) >= 2
+        assert kernel(a).dim >= 2
+
+
 def test_charpoly_needs_a_square_matrix(gf7):
     with pytest.raises(ShapeError):
         _charpoly(mat(gf7, [[1, 2]]))
@@ -372,3 +426,30 @@ def test_growing_span_agrees_with_canonical_span(rng):
         assert not g.insert((field.zero,) * a.cols)
         if g.dim == a.cols:
             assert not g.insert(rand_vec(field, a.cols, rng))
+
+
+def test_transpose_keeps_empty_shapes_and_undoes_itself(gf7, rng):
+    for rows, cols in ((0, 3), (3, 0), (0, 0)):
+        a = Matrix(gf7, rows, cols, ((),) * rows)
+        t = a.transpose()
+        assert (t.rows, t.cols) == (cols, rows)
+        back = t.transpose()
+        assert (back.rows, back.cols, back.data) == (rows, cols, a.data)
+    for _, a in _oracle_cases(rng):
+        t = a.transpose()
+        assert (t.rows, t.cols) == (a.cols, a.rows)
+        assert all(t.data[j][i] == x for i, row in enumerate(a.data) for j, x in enumerate(row))
+        assert t.transpose() == a and t.transpose().rows == a.rows
+
+
+def test_closure_stops_applying_once_the_span_is_full(monkeypatch):
+    # from e in sl2: ad(e) e = 0, ad(f) e = -h is new, ad(h) e = 2e; then
+    # ad(e) h = 2e, ad(f) h = 2f fills the space, and ad(h) h is not taken
+    l = builtin("sl2", 5)
+    mats = [l.ad(l.basis_vector(i)) for i in range(3)]
+    applied = []
+    apply = Matrix.apply
+    monkeypatch.setattr(Matrix, "apply", lambda m, v: applied.append(v) or apply(m, v))
+    g = GrowingSpan(l.field, 3)._close(mats, [l.basis_vector(0)])
+    assert g.dim == 3
+    assert len(applied) == 5

@@ -17,7 +17,8 @@ to job and from round to round, so a drift in host speed favours neither.
 Prints, per job label, the min-median milliseconds of each side and the
 median of the change/parent ratios of its pairs; the p50 and p90 of the
 workload's job cycle, each job counted as often as the cycle runs it and
-timed by its median; and the number of jobs whose output differs.
+timed by its median; the cycle's total time, the in-process stand-in for
+the benchmark's jobs_per_s; and the number of jobs whose output differs.
 """
 
 from __future__ import annotations
@@ -62,9 +63,12 @@ def summarize(records):
         lines.append(f"{label}: {len(group)} jobs, {', '.join(cells)}, "
                      f"change/parent {statistics.median(ratios):.3f}")
     weights = [r["weight"] for r in records]
-    cycle = {side: cycle_quantiles([statistics.median(r[side]) for r in records], weights)
-             for side in SIDES}
-    for i, name in enumerate(("p50", "p90")):
+    cycle = {}
+    for side in SIDES:
+        medians = [statistics.median(r[side]) for r in records]
+        total = sum(w * t for w, t in zip(weights, medians))
+        cycle[side] = cycle_quantiles(medians, weights) + (total,)
+    for i, name in enumerate(("p50", "p90", "total")):
         parent, change = cycle["parent"][i], cycle["change"][i]
         lines.append(f"cycle {name} ({sum(weights)} jobs): parent {parent * 1e3:.4g} ms, "
                      f"change {change * 1e3:.4g} ms, change/parent {change / parent:.3f}")
