@@ -190,20 +190,51 @@ def subalgebra_closure(l: LieAlgebra, gens) -> Subspace:
     and these are exactly the images of the generators under words in the
     ad(g)."""
     vecs = [l.check_vector(g) for g in gens]
-    mats = [l.ad(v) for v in vecs]
-    return GrowingSpan(l.field, l.dim)._close(mats, vecs).to_subspace()
+    actions = [l.ad(v).apply for v in vecs]
+    return GrowingSpan(l.field, l.dim)._close(actions, vecs).to_subspace()
 
 
 def ideal_closure(l: LieAlgebra, gens) -> Subspace:
     """Smallest subspace containing ``gens`` with [L, result] inside it:
     the closure of ``gens`` under every ad(b_i), as [b_i, u] = ad(b_i) u."""
     vecs = [l.check_vector(g) for g in gens]
-    return GrowingSpan(l.field, l.dim)._close(_adjoints(l), vecs).to_subspace()
+    return GrowingSpan(l.field, l.dim)._close(_basis_actions(l), vecs).to_subspace()
 
 
-def _adjoints(l: LieAlgebra) -> list:
-    """ad(b_i) for every basis vector, in index order."""
-    return [l.ad(l.basis_vector(i)) for i in range(l.dim)]
+def _basis_actions(l: LieAlgebra, dual: bool = False) -> list:
+    """The map v -> ad(b_i) v for every basis vector, in index order, read
+    from the stored constants c_ij^k of [b_i, b_j] = sum_k c_ij^k b_k with
+    no matrix built: ad(b_i) v = sum_j v_j [b_i, b_j].  With ``dual``, the
+    transposes: ((ad b_i)^T phi)_j = sum_k c_ij^k phi_k."""
+    f, n = l.field, l.dim
+    zero, reduce = f.zero, f.reduce
+
+    def adjoint(items):
+        def act(v):
+            out = [zero] * n
+            for j, terms in items:
+                vj = v[j]
+                if vj:
+                    for k, c in terms:
+                        out[k] += vj * c
+            return reduce(out)
+        return act
+
+    def coadjoint(items):
+        def act(phi):
+            out = [zero] * n
+            for j, terms in items:
+                acc = zero
+                for k, c in terms:
+                    phik = phi[k]
+                    if phik:
+                        acc += c * phik
+                out[j] = acc
+            return reduce(out)
+        return act
+
+    make = coadjoint if dual else adjoint
+    return [make(tuple(row.items())) for row in l._rows]
 
 
 def center(l: LieAlgebra) -> Subspace:
@@ -272,11 +303,11 @@ def _structural_verdict(l: LieAlgebra) -> "SimplicityVerdict | None":
     return None
 
 
-def _first_proper_closure(l: LieAlgebra, mats, vectors) -> "Subspace | None":
-    """Closure under ``mats`` of the first of ``vectors`` whose closure is a
-    proper subspace of F^dim, or None when every one fills the space."""
+def _first_proper_closure(l: LieAlgebra, actions, vectors) -> "Subspace | None":
+    """Closure under ``actions`` of the first of ``vectors`` whose closure
+    is a proper subspace of F^dim, or None when every one fills the space."""
     for v in vectors:
-        span = GrowingSpan(l.field, l.dim)._close(mats, [v])
+        span = GrowingSpan(l.field, l.dim)._close(actions, [v])
         if span.dim < l.dim:
             return span.to_subspace()
     return None
@@ -297,7 +328,7 @@ def is_simple(l: LieAlgebra) -> SimplicityVerdict:
         raise CapabilityError(
             f"certified simplicity limited to p^n <= {EXHAUSTIVE_LIMIT}; "
             "rerun with assume_simple")
-    ideal = _first_proper_closure(l, _adjoints(l), _projective_representatives(f, l.dim))
+    ideal = _first_proper_closure(l, _basis_actions(l), _projective_representatives(f, l.dim))
     if ideal is not None:
         return SimplicityVerdict(False, "proper ideal found", ideal)
     return SimplicityVerdict(True, "every projective point generates", None)
@@ -316,9 +347,11 @@ def meataxe_simple(l: LieAlgebra) -> SimplicityVerdict:
     algebra, so t = ad(x) - lambda*1 serves as well as ad(x) when lambda is
     an eigenvalue of ad(x) in F_p, and on sl_n some shift usually reaches
     nullity 1.  Negative answers always come with a concrete witness ideal.
-    Much faster than the projective-point enumeration of :func:`is_simple`,
-    and used by the classification pipeline; the two are cross-checked in
-    the test suite.
+    The closures need only the module action, which they read from the
+    stored constants (:func:`_basis_actions`); a dense ad(b_i) is built only
+    for the candidates the search for t walks through.  Much faster than
+    the projective-point enumeration of :func:`is_simple`, and used by the
+    classification pipeline; the two are cross-checked in the test suite.
     """
     if l.field.p == 0:
         raise CapabilityError("simplicity is only certified over finite fields")
@@ -331,14 +364,15 @@ def meataxe_simple(l: LieAlgebra) -> SimplicityVerdict:
         raise CapabilityError(no_operator)
 
     f = l.field
-    ads = _adjoints(l)
     rng = random.Random(SIMPLICITY_SEED)
     samples = (tuple(f.random(rng) for _ in range(l.dim)) for _ in range(24))
 
     def candidates():
         """Each theta with its eigenvalues in F_p, in increasing order, and
-        those that are roots of exactly one of its Hessenberg blocks."""
-        for theta in chain(ads, (l.ad(x) for x in samples if not vec_is_zero(x))):
+        those that are roots of exactly one of its Hessenberg blocks; each
+        is built only when the walk reaches it."""
+        basis = (l.basis_vector(i) for i in range(l.dim))
+        for theta in (l.ad(x) for x in chain(basis, samples) if not vec_is_zero(x)):
             if _nilpotent_pattern(theta):
                 # chi = x^n, and 0 lies in two blocks or more, since each
                 # unreduced block has nullity at most 1 and theta at least 2
@@ -377,9 +411,9 @@ def meataxe_simple(l: LieAlgebra) -> SimplicityVerdict:
     if best is None:
         raise CapabilityError(no_operator)
     theta, ker = best
-    witness = _first_proper_closure(l, ads, _line_representatives(f, ker.basis))
+    witness = _first_proper_closure(l, _basis_actions(l), _line_representatives(f, ker.basis))
     if witness is None:
-        dual = _first_proper_closure(l, [m.transpose() for m in ads],
+        dual = _first_proper_closure(l, _basis_actions(l, dual=True),
                                      _line_representatives(f, kernel(theta.transpose()).basis))
         if dual is None:
             return SimplicityVerdict(

@@ -96,7 +96,7 @@ def _parser() -> argparse.ArgumentParser:
     mode.add_argument("--scan-basis", action="store_true")
     mode.add_argument("--exhaustive", action="store_true")
     e.add_argument("--representatives", action="store_true",
-                   help="report one vector per scalar class in exhaustive mode")
+                   help="with --exhaustive, report one vector per scalar class")
 
     s = sub.add_parser("sl2", help="build a verified sl2-triple from an extremal element")
     s.set_defaults(func=_cmd_sl2)
@@ -125,8 +125,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
+    parser = _parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        # argparse has no option that requires another; this one modifies
+        # --exhaustive only, and is refused rather than ignored elsewhere
+        if args.command == "extremal" and args.representatives and not args.exhaustive:
+            parser.error("extremal: --representatives applies only with --exhaustive")
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:

@@ -439,17 +439,18 @@ class GrowingSpan:
                     v[i] -= x * row[i]
         return False
 
-    def _close(self, mats, vectors) -> "GrowingSpan":
-        """Grow to the smallest span holding ``vectors`` that every matrix in
-        ``mats`` maps into itself, stopping once it is the whole space.  Only
-        images of newly inserted vectors are taken, so the span must start
-        empty (or already invariant)."""
+    def _close(self, actions, vectors) -> "GrowingSpan":
+        """Grow to the smallest span holding ``vectors`` that every linear
+        map in ``actions`` (a callable taking and returning a vector, such
+        as ``Matrix.apply``) maps into itself, stopping once it is the whole
+        space.  Only images of newly inserted vectors are taken, so the span
+        must start empty (or already invariant)."""
         pool = [v for v in vectors if self.insert(v)]
         idx = 0
         while idx < len(pool) and self.dim < self.ambient:
             u = pool[idx]
-            for m in mats:
-                w = m.apply(u)
+            for act in actions:
+                w = act(u)
                 if self.insert(w):
                     if self.dim == self.ambient:
                         return self

@@ -1,8 +1,11 @@
 import json
 import random
+from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lieext import (
     CapabilityError,
@@ -417,6 +420,56 @@ def test_ideal_closure_examples(witt5, wittext5):
         assert ideal_closure(witt5, [v]).dim == 5
 
 
+# -- the module actions read from the stored constants ------------------------
+
+ACTION_ALGEBRAS = sorted(
+    [(name, p, seed) for p in (5, 7, 11, 0) for name in ("sl2", "sl3", "sl4", "heisenberg")
+     for seed in (None, 1) if not (name == "sl4" and seed)]
+    + [(name, 5, seed) for name in ("witt5", "wittext5") for seed in (None, 1)],
+    key=repr)
+
+
+@cache
+def action_algebra(name, p, seed):
+    l = builtin(name, p)
+    return l if seed is None else on_random_basis(l, random.Random(seed))[0]
+
+
+def action_scalars(p):
+    if p:
+        return st.integers(0, p - 1)
+    return st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+
+
+@st.composite
+def action_cases(draw):
+    """An algebra, a basis index, and a vector, often sparse, sometimes zero."""
+    name, p, seed = draw(st.sampled_from(ACTION_ALGEBRAS))
+    l = action_algebra(name, p, seed)
+    zero = l.field.zero
+    coords = st.one_of(st.just(zero), action_scalars(p))
+    v = draw(st.one_of(st.just(l.zero()),
+                       st.lists(coords, min_size=l.dim, max_size=l.dim).map(tuple)))
+    return (name, p, seed), draw(st.integers(0, l.dim - 1)), v
+
+
+@settings(max_examples=300, deadline=None)
+@given(action_cases())
+@example((("heisenberg", 5, None), 2, (1, 2, 3)))   # [c, L] = 0: _rows[2] is empty
+@example((("heisenberg", 0, None), 2, (Fraction(1), Fraction(-2), Fraction(3))))
+@example((("sl3", 7, 1), 0, (0,) * 8))
+def test_basis_actions_match_the_adjoint_matrices(case):
+    # ad(b_i) v = sum_j v_j [b_i, b_j] and ((ad b_i)^T phi)_j = sum_k c_ij^k phi_k,
+    # read from the stored constants, against the dense ad(b_i) and its transpose
+    from lieext.algebra import _basis_actions
+
+    key, i, v = case
+    l = action_algebra(*key)
+    m = l.ad(l.basis_vector(i))
+    assert _basis_actions(l)[i](v) == m.apply(v)
+    assert _basis_actions(l, dual=True)[i](v) == m.transpose().apply(v)
+
+
 def test_ideal_closure_is_an_ideal(rng):
     l = builtin("sl4", 5)
     for _ in range(5):
@@ -439,15 +492,23 @@ def test_center_and_derived(witt5, wittext5):
 
 
 def test_simplicity_builds_each_basis_adjoint_once(monkeypatch):
-    # the centre is read from the stored constants, so the closures' ad(b_i)
-    # are the only adjoints built
+    # the centre and the closures read the stored constants, so the only
+    # adjoints built are the candidates the search for a singular operator
+    # walks, each once: the E_ij, then H1, whose root ends the search (all
+    # n^2 - 1 basis adjoints were built before); is_simple builds none
+    from lieext.algebra import _sl
+
     calls = []
     ad = LieAlgebra.ad
     monkeypatch.setattr(LieAlgebra, "ad", lambda self, x: calls.append(x) or ad(self, x))
-    for certify, l in ((meataxe_simple, builtin("sl3", 7)), (is_simple, builtin("sl2", 5))):
+    for n, p in ((3, 7), (4, 5), (5, 7)):
+        l = _sl(Field(p), n)
         calls.clear()
-        assert certify(l).simple
-        assert calls == [l.basis_vector(i) for i in range(l.dim)]
+        assert meataxe_simple(l).simple
+        assert calls == [l.basis_vector(i) for i in range(l.names.index("H1") + 1)]
+    calls.clear()
+    assert is_simple(builtin("sl2", 5)).simple
+    assert calls == []
 
 
 def test_is_simple_certified(witt5, wittext5):

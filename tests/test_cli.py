@@ -184,6 +184,19 @@ def test_extremal_usage_errors(capsys, witt5_file):
     assert invoke(capsys, "extremal", witt5_file, "--vector", "0,0,5,0,0")[0] == 2
 
 
+@pytest.mark.parametrize("mode", [("--vector", "0,0,4,0,0"), ("--scan-basis",)])
+def test_extremal_representatives_needs_exhaustive(capsys, witt5_file, mode):
+    # --representatives only shapes the exhaustive report; with another mode
+    # it is refused as a usage error instead of being ignored, before the
+    # file is read
+    for path in (witt5_file, "no-such-file.json"):
+        code, out, err = invoke(capsys, "extremal", path, *mode, "--representatives")
+        assert code == 2 and out == ""
+        assert err.endswith(
+            "error: extremal: --representatives applies only with --exhaustive\n")
+    assert invoke(capsys, "extremal", witt5_file, *mode)[0] == 0
+
+
 # -- sl2 / grade -------------------------------------------------------------------
 
 def test_sl2_report(capsys, witt5_file):

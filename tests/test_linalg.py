@@ -450,6 +450,6 @@ def test_closure_stops_applying_once_the_span_is_full(monkeypatch):
     applied = []
     apply = Matrix.apply
     monkeypatch.setattr(Matrix, "apply", lambda m, v: applied.append(v) or apply(m, v))
-    g = GrowingSpan(l.field, 3)._close(mats, [l.basis_vector(0)])
+    g = GrowingSpan(l.field, 3)._close([m.apply for m in mats], [l.basis_vector(0)])
     assert g.dim == 3
     assert len(applied) == 5

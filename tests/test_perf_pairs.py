@@ -25,19 +25,35 @@ def test_summary_counts_strict_wins_in_the_better_direction(perf_pairs):
     change = [21.8, 20.6, 27.1, 18.9]
     (line,) = perf_pairs.summarize(_pairs(parent, change, "job_p90_ms"), [("job_p90_ms", "lower")])
     # inclusive quartiles of 4 values: positions 0.75, 1.5 and 2.25 of the sorted list
+    # per-pair ratios 0.7985, 0.7774, 1.0 and 0.945, median of the middle two
     assert line == ("job_p90_ms (lower is better): parent 26.8 [24.88, 27.15]  "
-                    "change 21.2 [20.18, 23.12]  change better in 3/4")
+                    "change 21.2 [20.18, 23.12]  change better in 3/4  "
+                    "change/parent per pair 0.872 [0.777, 1.000]")
     (line,) = perf_pairs.summarize(_pairs(parent, change, "rate"), [("rate", "higher")])
-    assert line.endswith("change better in 0/4")
+    assert line.endswith("change better in 0/4  change/parent per pair 0.872 [0.777, 1.000]")
 
 
 def test_summary_of_one_pair_and_of_several_metrics(perf_pairs):
     pairs = [{"parent": {"a": 1.0, "b": 5.0}, "change": {"a": 2.0, "b": 4.0}}]
     lines = perf_pairs.summarize(pairs, [("a", "higher"), ("b", "higher")])
     assert lines == [
-        "a (higher is better): parent 1 [1, 1]  change 2 [2, 2]  change better in 1/1",
-        "b (higher is better): parent 5 [5, 5]  change 4 [4, 4]  change better in 0/1",
+        "a (higher is better): parent 1 [1, 1]  change 2 [2, 2]  change better in 1/1  "
+        "change/parent per pair 2.000 [2.000, 2.000]",
+        "b (higher is better): parent 5 [5, 5]  change 4 [4, 4]  change better in 0/1  "
+        "change/parent per pair 0.800 [0.800, 0.800]",
     ]
+
+
+def test_ratios_are_taken_pair_by_pair(perf_pairs):
+    # Both sides drift together from pair to pair: the quartiles of the two
+    # sides overlap, but every pair's ratio is 0.85-0.9.  Pairs whose parent
+    # value is 0 give no ratio.
+    parent = [10.0, 20.0, 15.0, 0.0, 12.0]
+    change = [8.5, 18.0, 13.2, 1.0, 10.44]
+    (line,) = perf_pairs.summarize(_pairs(parent, change, "t"), [("t", "lower")])
+    assert line.endswith("change better in 4/5  change/parent per pair 0.875 [0.850, 0.900]")
+    (line,) = perf_pairs.summarize(_pairs([0.0], [1.0], "t"), [("t", "lower")])
+    assert line.endswith("change better in 0/1  change/parent per pair n/a")
 
 
 def test_copy_leaves_out_build_leftovers(perf_pairs, tmp_path):

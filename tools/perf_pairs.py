@@ -9,8 +9,11 @@ flips from pair to pair, so a drift in host speed favours neither.  Both
 checkouts' ``src/`` and ``perfbench/`` are copied into a temporary directory
 and run from there, so nothing is written into either checkout.  Each run's
 result line is printed as it comes; then, for every end-to-end metric of
-the change's ``BENCHMARK.json``, the median and quartiles of both sides and
-the number of pairs in which the change did better.
+the change's ``BENCHMARK.json``, the median and quartiles of both sides, the
+number of pairs in which the change did better, and the median and range of
+the change/parent ratios taken pair by pair.  A drift in host speed moves
+both runs of a pair together, so the per-pair ratio separates a small gain
+from the drift where the two sides' quartiles overlap.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ def summarize(pairs, metrics):
     """One line per metric for ``pairs`` of {"parent": m, "change": m}, each
     m mapping a metric name to its value; ``metrics`` lists (name, better)
     with better "higher" or "lower".  A pair counts as a win when the
-    change's value is strictly better."""
+    change's value is strictly better.  The ratios leave out the pairs whose
+    parent value is 0, and read "n/a" when no pair is left."""
     lines = []
     for name, better in metrics:
         values = {side: [pair[side][name] for pair in pairs] for side in SIDES}
@@ -48,8 +52,12 @@ def summarize(pairs, metrics):
         for side in SIDES:
             q1, med, q3 = quartiles(values[side])
             cells.append(f"{side} {med:.4g} [{q1:.4g}, {q3:.4g}]")
+        ratios = [c / p for p, c in zip(values["parent"], values["change"]) if p]
+        spread = (f"{statistics.median(ratios):.3f} [{min(ratios):.3f}, {max(ratios):.3f}]"
+                  if ratios else "n/a")
         lines.append(f"{name} ({better} is better): {'  '.join(cells)}  "
-                     f"change better in {wins}/{len(pairs)}")
+                     f"change better in {wins}/{len(pairs)}  "
+                     f"change/parent per pair {spread}")
     return lines
 
 
