@@ -486,12 +486,8 @@ def builtin(name: str, p: int) -> LieAlgebra:
         if p != 5:
             raise CapabilityError(f"{name} exists only in characteristic 5")
         return _witt(field, extended=(name == "wittext5"))
-    if name == "sl2":
-        return LieAlgebra(field, ("e", "f", "h"), {
-            (0, 1): [(2, 1)],          # [e, f] = h
-            (0, 2): [(0, -2)],         # [e, h] = -2e
-            (1, 2): [(1, 2)],          # [f, h] = 2f
-        })
+    if name == "sl2":                 # e, f, h = E12, E21, H1
+        return LieAlgebra(field, ("e", "f", "h"), _sl(field, 2).table)
     if name == "heisenberg":
         return LieAlgebra(field, ("a", "b", "c"), {(0, 1): [(2, 1)]})
     n = 3 if name == "sl3" else 4
@@ -516,46 +512,26 @@ def _witt(field: Field, extended: bool) -> LieAlgebra:
 
 def _sl(field: Field, n: int) -> LieAlgebra:
     # Basis: E_ij for i<j, then E_ij for i>j (both in lexicographic order),
-    # then the Cartan elements H_k = E_kk - E_{k+1,k+1}.
+    # then the Cartan elements H_k = E_kk - E_{k+1,k+1}.  Each bracket is read
+    # off [E_ij, E_kl] = d_jk E_il - d_li E_kj, with E_ii - E_jj = H_i + ...
+    # + H_{j-1} for i < j and [E_ij, H_k] = -(e_i - e_j)(H_k) E_ij.
     offdiag = [(i, j) for i in range(n) for j in range(n) if i < j]
     offdiag += [(i, j) for i in range(n) for j in range(n) if i > j]
     names = [f"E{i + 1}{j + 1}" for i, j in offdiag] + [f"H{k + 1}" for k in range(n - 1)]
-    dim = len(offdiag) + n - 1
-
-    def as_matrix(idx):
-        m = [[0] * n for _ in range(n)]
-        if idx < len(offdiag):
-            i, j = offdiag[idx]
-            m[i][j] = 1
-        else:
-            k = idx - len(offdiag)
-            m[k][k] = 1
-            m[k + 1][k + 1] = -1
-        return m
-
-    def expand(m):
-        # Matrix with zero trace -> coordinates in the basis above.
-        coords = [0] * dim
-        for a, (i, j) in enumerate(offdiag):
-            coords[a] = m[i][j]
-        prefix = 0
-        for k in range(n - 1):
-            prefix += m[k][k]
-            coords[len(offdiag) + k] = prefix
-        return coords
-
-    def commutator(a, b):
-        return [[sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n))
-                 for j in range(n)] for i in range(n)]
-
-    mats = [as_matrix(i) for i in range(dim)]
+    index = {ij: a for a, ij in enumerate(offdiag)}
+    cartan = len(offdiag)
     table = {}
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            coords = expand(commutator(mats[a], mats[b]))
-            terms = [(k, c) for k, c in enumerate(coords) if field.of(c)]
-            if terms:
-                table[(a, b)] = terms
+    for a, (i, j) in enumerate(offdiag):
+        for b in range(a + 1, cartan):
+            k, l = offdiag[b]
+            if (k, l) == (j, i):      # i < j: the upper E_ij comes first
+                table[(a, b)] = [(cartan + m, 1) for m in range(i, j)]
+            elif j == k:
+                table[(a, b)] = [(index[(i, l)], 1)]
+            elif l == i:
+                table[(a, b)] = [(index[(k, j)], -1)]
+        for m in range(n - 1):
+            table[(a, cartan + m)] = [(a, (i == m + 1) - (i == m) + (j == m) - (j == m + 1))]
     return LieAlgebra(field, names, table)
 
 

@@ -146,14 +146,20 @@ def test_witt_tables_differ_only_at_top_pair(witt5, wittext5):
                 assert ours + (0,) == theirs
 
 
-def test_sl3_table_against_matrix_commutator_oracle():
-    for p in (5, 7):
-        l = builtin("sl3", p)
-        mats, commute, expand, _ = sl_matrix_oracle(3, p)
-        for a in range(l.dim):
-            for b in range(l.dim):
-                expected = expand(commute(mats[a], mats[b]))
-                assert l.bracket(l.basis_vector(a), l.basis_vector(b)) == expected
+@pytest.mark.parametrize("n,p", [(n, p) for n in range(2, 7) for p in (0, 5, 7, 11)] + [(7, 5)])
+def test_sl_table_against_matrix_commutator_oracle(n, p):
+    # _sl reads each bracket off the matrix-unit rule; the oracle multiplies
+    # the n x n matrices out.
+    from lieext.algebra import _sl
+
+    l = _sl(Field(p), n)
+    mats, commute, expand, _ = sl_matrix_oracle(n, p)
+    for a in range(l.dim):
+        for b in range(l.dim):
+            expected = expand(commute(mats[a], mats[b]))
+            assert l.bracket(l.basis_vector(a), l.basis_vector(b)) == expected
+    if n == 2:
+        assert builtin("sl2", p).table == l.table
 
 
 def test_sl2_defining_relations():

@@ -10,10 +10,12 @@ checkouts' ``src/`` and ``perfbench/`` are copied into a temporary directory
 and run from there, so nothing is written into either checkout.  Each run's
 result line is printed as it comes; then, for every end-to-end metric of
 the change's ``BENCHMARK.json``, the median and quartiles of both sides, the
-number of pairs in which the change did better, and the median and range of
-the change/parent ratios taken pair by pair.  A drift in host speed moves
-both runs of a pair together, so the per-pair ratio separates a small gain
-from the drift where the two sides' quartiles overlap.
+number of pairs in which the change did better, in all and split by the side
+that ran first, and the median and range of the change/parent ratios taken
+pair by pair.  A drift in host speed moves both runs of a pair together, so
+the per-pair ratio separates a small gain from the drift where the two
+sides' quartiles overlap; the split shows a host on which the second run of
+a pair is slower or faster than the first.
 """
 
 from __future__ import annotations
@@ -38,16 +40,20 @@ def quartiles(values):
 
 
 def summarize(pairs, metrics):
-    """One line per metric for ``pairs`` of {"parent": m, "change": m}, each
-    m mapping a metric name to its value; ``metrics`` lists (name, better)
-    with better "higher" or "lower".  A pair counts as a win when the
-    change's value is strictly better.  The ratios leave out the pairs whose
-    parent value is 0, and read "n/a" when no pair is left."""
+    """One line per metric for ``pairs`` of {"parent": m, "change": m,
+    "first": side}, each m mapping a metric name to its value and side the
+    one of ``SIDES`` that ran first; ``metrics`` lists (name, better) with
+    better "higher" or "lower".  A pair counts as a win when the change's
+    value is strictly better.  The ratios leave out the pairs whose parent
+    value is 0, and read "n/a" when no pair is left."""
     lines = []
     for name, better in metrics:
         values = {side: [pair[side][name] for pair in pairs] for side in SIDES}
-        wins = sum((c > p) if better == "higher" else (c < p)
-                   for p, c in zip(values["parent"], values["change"]))
+        won = [(c > p) if better == "higher" else (c < p)
+               for p, c in zip(values["parent"], values["change"])]
+        by_first = {side: [w for w, pair in zip(won, pairs) if pair["first"] == side]
+                    for side in SIDES}
+        split = ", ".join(f"{sum(w)}/{len(w)} {side} first" for side, w in by_first.items())
         cells = []
         for side in SIDES:
             q1, med, q3 = quartiles(values[side])
@@ -56,7 +62,7 @@ def summarize(pairs, metrics):
         spread = (f"{statistics.median(ratios):.3f} [{min(ratios):.3f}, {max(ratios):.3f}]"
                   if ratios else "n/a")
         lines.append(f"{name} ({better} is better): {'  '.join(cells)}  "
-                     f"change better in {wins}/{len(pairs)}  "
+                     f"change better in {sum(won)}/{len(pairs)} ({split})  "
                      f"change/parent per pair {spread}")
     return lines
 
@@ -101,7 +107,7 @@ def main(argv=None):
                   for side, root in roots.items()}
         for k in range(args.pairs):
             order = SIDES if k % 2 == 0 else SIDES[::-1]
-            pair = {}
+            pair = {"first": order[0]}
             for side in order:
                 pair[side] = run_once(copies[side], args.workload, args.seed, seconds)
                 print(f"pair {k + 1} {side}: {json.dumps(pair[side])}", flush=True)
