@@ -59,7 +59,6 @@ from .sl2 import (
     h_grading,
     make_triple,
     quadraticity_check,
-    restrict_operator,
     complete_sl2,
 )
 from .classify import (

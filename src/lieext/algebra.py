@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import combinations, product
 
 from .errors import (
     CapabilityError,
@@ -67,6 +67,9 @@ class LieAlgebra:
         n = len(self.names)
         if n < 1:
             raise ShapeError("algebra dimension must be at least 1")
+        # Each sum is reduced once, and a nonzero residue c has the
+        # canonical negative p - c.
+        p, zero, of = field.p, field.zero, field.of
         canon = {}
         for (i, j), terms in table.items():
             if not (0 <= i < j < n):
@@ -75,16 +78,18 @@ class LieAlgebra:
             for k, c in terms:
                 if not 0 <= k < n:
                     raise ShapeError(f"bad target index {k} for dimension {n}")
-                c = field.of(c)
-                acc[k] = field.add(acc.get(k, field.zero), c)
-            cleaned = tuple((k, c) for k, c in sorted(acc.items()) if c)
+                acc[k] = acc.get(k, zero) + of(c)
+            if p:
+                cleaned = tuple([(k, r) for k, c in sorted(acc.items()) if (r := c % p)])
+            else:
+                cleaned = tuple([(k, c) for k, c in sorted(acc.items()) if c])
             if cleaned:
                 canon[(i, j)] = cleaned
         self.table = canon
         rows = [{} for _ in range(n)]
         for (i, j), terms in sorted(canon.items()):
             rows[i][j] = terms
-            rows[j][i] = tuple((k, field.neg(c)) for k, c in terms)
+            rows[j][i] = tuple([(k, p - c) if p else (k, -c) for k, c in terms])
         self._rows = rows
         self._ads = {}
 
@@ -238,17 +243,33 @@ def _basis_actions(l: LieAlgebra, dual: bool = False) -> list:
 
 
 def center(l: LieAlgebra) -> Subspace:
-    """{v : [b_i, v] = 0 for all i}.  A candidate space, at first all of L,
-    is cut down to its kernel under one ad(b_i) at a time, so it always
-    holds the centre; once every b_i has been checked it is the centre.
-    The b_i with the most nonzero brackets go first, as they cut the most,
-    and an empty candidate ends the search."""
+    """{v : [b_i, v] = 0 for all i}.  A candidate basis, at first that of
+    all of L, is cut down to the kernel of one ad(b_i) at a time, so it
+    always spans a space holding the centre; once every b_i has been
+    checked it spans the centre.  Each cut eliminates the candidates'
+    brackets with b_i one after another, each stored beside its candidate
+    and carrying it along: a bracket that eliminates to zero leaves a
+    combination of candidates in the kernel, and these span it.  The first
+    cut reads the brackets, the columns of ad(b_i), off the stored
+    constants.  The b_i with the most nonzero brackets go first, as they
+    cut the most, and an empty candidate basis ends the search."""
     f, n = l.field, l.dim
-    candidate = [l.basis_vector(j) for j in range(n)]
+    actions = _basis_actions(l)
+    candidate = None
     for i in sorted(range(n), key=lambda i: -len(l._rows[i])):
-        b = l.basis_vector(i)
-        ker = kernel(Matrix.from_columns(f, [l.bracket(b, v) for v in candidate]))
-        candidate = [vec_combine(f, s, candidate) for s in ker.basis]
+        span = GrowingSpan(f, 2 * n)        # [b_i, v] beside v
+        if candidate is None:
+            row = l._rows[i]
+            for j in range(n):
+                pair = [f.zero] * (2 * n)
+                for k, c in row.get(j, ()):
+                    pair[k] = c
+                pair[n + j] = f.one
+                span.insert(pair)
+        else:
+            for v in candidate:
+                span.insert(actions[i](v) + v)
+        candidate = [r[n:] for c, r in span.rows.items() if c >= n]
         if not candidate:
             break
     return _span(f, n, candidate)
@@ -348,8 +369,10 @@ def meataxe_simple(l: LieAlgebra) -> SimplicityVerdict:
     an eigenvalue of ad(x) in F_p, and on sl_n some shift usually reaches
     nullity 1.  Negative answers always come with a concrete witness ideal.
     The closures need only the module action, which they read from the
-    stored constants (:func:`_basis_actions`); a dense ad(b_i) is built only
-    for the candidates the search for t walks through.  Much faster than
+    stored constants (:func:`_basis_actions`), and the search for t reads
+    a nilpotent pattern of ad(b_i) off them too, so a dense ad(x) is built
+    only for a candidate whose characteristic polynomial the search takes
+    (on sl_n, H1 alone) or whose kernel it needs.  Much faster than
     the projective-point enumeration of :func:`is_simple`, and used by the
     classification pipeline; the two are cross-checked in the test suite.
     """
@@ -368,20 +391,29 @@ def meataxe_simple(l: LieAlgebra) -> SimplicityVerdict:
     samples = (tuple(f.random(rng) for _ in range(l.dim)) for _ in range(24))
 
     def candidates():
-        """Each theta with its eigenvalues in F_p, in increasing order, and
-        those that are roots of exactly one of its Hessenberg blocks; each
-        is built only when the walk reaches it."""
-        basis = (l.basis_vector(i) for i in range(l.dim))
-        for theta in (l.ad(x) for x in chain(basis, samples) if not vec_is_zero(x)):
-            if _nilpotent_pattern(theta):
-                # chi = x^n, and 0 lies in two blocks or more, since each
-                # unreduced block has nullity at most 1 and theta at least 2
-                yield theta, [f.zero], []
-                continue
-            chi, blocks = _charpoly(theta)
-            roots = _roots(f, chi)
-            yield theta, roots, [lam for lam in roots
-                                 if sum(not _poly_eval(f, b, lam) for b in blocks) == 1]
+        """Each candidate x with ad(x), its eigenvalues in F_p, in
+        increasing order, and those that are roots of exactly one of its
+        Hessenberg blocks; ad(x) is built only when the walk reaches x and
+        needs chi.  Where the stored row of b_i shows ad(b_i) nilpotent with
+        two zero columns or more, chi = x^n and 0 lies in two blocks or
+        more, since each unreduced block has nullity at most 1; ad(b_i) is
+        left unbuilt.  A random sample always takes chi, which gives the
+        same roots for such a pattern."""
+        for i, row in enumerate(l._rows):
+            x = l.basis_vector(i)
+            if _nilpotent_pattern(l.dim, row):
+                yield x, None, [f.zero], []
+            else:
+                yield (x,) + shifts(l.ad(x))
+        for x in samples:
+            if not vec_is_zero(x):
+                yield (x,) + shifts(l.ad(x))
+
+    def shifts(theta):
+        chi, blocks = _charpoly(theta)
+        roots = _roots(f, chi)
+        return theta, roots, [lam for lam in roots
+                              if sum(not _poly_eval(f, b, lam) for b in blocks) == 1]
 
     def lines_of(nullity):
         return (f.p**nullity - 1) // (f.p - 1)
@@ -392,14 +424,15 @@ def meataxe_simple(l: LieAlgebra) -> SimplicityVerdict:
     # nullity 1 whose root lies in two blocks is passed over, so the witness
     # of a non-simple algebra can differ from the per-root search's.
     walked, best = [], None
-    for theta, roots, single in candidates():
+    for x, theta, roots, single in candidates():
         if single:
             t = theta.add_scalar_diag(f.neg(single[0]))
             best = (t, kernel(t))
             break
-        walked.append((theta, roots))
+        walked.append((x, theta, roots))
     if best is None:
-        shifted = (theta.add_scalar_diag(f.neg(lam)) for theta, roots in walked for lam in roots)
+        shifted = ((l.ad(x) if theta is None else theta).add_scalar_diag(f.neg(lam))
+                   for x, theta, roots in walked for lam in roots)
         for t in shifted:
             ker = kernel(t)
             if ker.dim == 0 or lines_of(ker.dim) > MEATAXE_LINE_BUDGET:
@@ -559,11 +592,6 @@ def to_json(l: LieAlgebra) -> str:
     return json.dumps(to_json_dict(l), indent=2) + "\n"
 
 
-def _is_index(value) -> bool:
-    """A JSON integer; ``true``/``false`` load as bool, a subclass of int."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def from_json(text: str) -> LieAlgebra:
     try:
         doc = json.loads(text)
@@ -575,14 +603,14 @@ def from_json(text: str) -> LieAlgebra:
         if key not in doc:
             raise ParseError(f"missing key {key!r}")
     p = doc["characteristic"]
-    if not _is_index(p):
+    if type(p) is not int:     # true and false load as bool, a subclass of int
         raise ParseError("characteristic must be an integer")
     try:
         field = Field(p)
     except DomainError as e:
         raise ParseError(str(e)) from None
     n = doc["dim"]
-    if not _is_index(n) or n < 1:
+    if type(n) is not int or n < 1:
         raise ParseError("dim must be a positive integer")
     if n > DIM_LIMIT:
         raise ParseError(f"dim {n} exceeds the limit of {DIM_LIMIT}")
@@ -592,11 +620,15 @@ def from_json(text: str) -> LieAlgebra:
     table = {}
     if not isinstance(doc["brackets"], list):
         raise ParseError("brackets must be a list")
+    # JSON values load as exactly dict, list, str, int, float, bool or None,
+    # so the shapes are tested with ``type(...) is``; each distinct coefficient
+    # text is parsed once, and only accepted nonzero values are kept.
+    parsed, keys = {}, {"i", "j", "terms"}
     for entry in doc["brackets"]:
-        if not isinstance(entry, dict) or set(entry) != {"i", "j", "terms"}:
+        if type(entry) is not dict or entry.keys() != keys:
             raise ParseError('each bracket needs exactly the keys "i", "j", "terms"')
         i, j = entry["i"], entry["j"]
-        if not (_is_index(i) and _is_index(j)):
+        if not (type(i) is int and type(j) is int):
             raise ParseError("bracket indices must be integers")
         if i >= j:
             raise ParseError(f"bracket pair ({i}, {j}) must have i < j")
@@ -604,25 +636,25 @@ def from_json(text: str) -> LieAlgebra:
             raise ParseError(f"bracket pair ({i}, {j}) out of range for dim {n}")
         if (i, j) in table:
             raise ParseError(f"duplicate bracket pair ({i}, {j})")
-        if not isinstance(entry["terms"], list) or not entry["terms"]:
+        if type(entry["terms"]) is not list or not entry["terms"]:
             raise ParseError(f"terms of ({i}, {j}) must be a nonempty list")
-        terms = []
-        seen = set()
+        terms = {}
         for t in entry["terms"]:
-            if not (isinstance(t, list) and len(t) == 2 and _is_index(t[0])
-                    and isinstance(t[1], str)):
+            if type(t) is not list or len(t) != 2 or type(t[0]) is not int or type(t[1]) is not str:
                 raise ParseError(f'terms of ({i}, {j}) must be [index, "coeff"] pairs')
             k, coeff = t
             if not 0 <= k < n:
                 raise ParseError(f"term index {k} out of range for dim {n}")
-            if k in seen:
+            if k in terms:
                 raise ParseError(f"duplicate term index {k} in bracket ({i}, {j})")
-            seen.add(k)
-            c = field.parse(coeff)
-            if not c:
-                raise ParseError(f"zero coefficient stored in bracket ({i}, {j})")
-            terms.append((k, c))
-        table[(i, j)] = terms
+            c = parsed.get(coeff)
+            if c is None:
+                c = field.parse(coeff)
+                if not c:
+                    raise ParseError(f"zero coefficient stored in bracket ({i}, {j})")
+                parsed[coeff] = c
+            terms[k] = c
+        table[(i, j)] = terms.items()
     return LieAlgebra(field, basis, table)
 
 

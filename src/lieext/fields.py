@@ -92,7 +92,7 @@ class Field:
                     return self.div(self.of(value.numerator), self.of(value.denominator))
                 value = value.numerator
             return value % self.p
-        return Fraction(value)
+        return value if type(value) is Fraction else Fraction(value)
 
     def reduce(self, values) -> tuple:
         """The canonical elements of raw values: sums of products of field

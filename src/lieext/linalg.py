@@ -18,7 +18,7 @@ pivot entry when they read it.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, compress
+from itertools import compress
 
 from .errors import ShapeError
 from .fields import Field
@@ -61,9 +61,8 @@ def unit_vec(field: Field, n, i):
 class Matrix:
     """Immutable dense matrix; ``data`` is a tuple of row tuples of field
     elements, which the constructor takes as they are.  The nonzero columns
-    of each row are listed the first time :meth:`apply` or
-    :func:`_nilpotent_pattern` reads them; they are a cache, not part of the
-    value."""
+    of each row are listed the first time :meth:`apply` reads them; they
+    are a cache, not part of the value."""
 
     __slots__ = ("field", "rows", "cols", "data", "_nonzero")
 
@@ -128,8 +127,11 @@ class Matrix:
         if len(vec) != self.cols:
             raise ShapeError(f"vector of length {len(vec)} for {self.rows}x{self.cols} matrix")
         f = self.field
+        if self._nonzero is None:
+            columns = range(self.cols)
+            self._nonzero = tuple([tuple(compress(columns, row)) for row in self.data])
         out = []
-        for row, nonzero in zip(self.data, self._nonzero_columns()):
+        for row, nonzero in zip(self.data, self._nonzero):
             acc = f.zero
             for j in nonzero:
                 b = vec[j]
@@ -137,13 +139,6 @@ class Matrix:
                     acc += row[j] * b
             out.append(acc)
         return f.reduce(out)
-
-    def _nonzero_columns(self) -> tuple:
-        """The nonzero columns of each row, listed once."""
-        if self._nonzero is None:
-            columns = range(self.cols)
-            self._nonzero = tuple([tuple(compress(columns, row)) for row in self.data])
-        return self._nonzero
 
     def add_scalar_diag(self, c) -> "Matrix":
         """self + c*I (square only)."""
@@ -281,29 +276,31 @@ def _charpoly(a: Matrix):
     return chi, blocks
 
 
-def _nilpotent_pattern(a: Matrix) -> bool:
-    """A sufficient test, read off the zero pattern, that a square ``a`` is
-    nilpotent with nullity at least 2: ``a`` has two zero columns or more,
-    and the graph with an edge j -> k for each nonzero a[k][j] has no cycle.
+def _nilpotent_pattern(n: int, columns) -> bool:
+    """A sufficient test, read off the zero pattern, that an n x n matrix a
+    is nilpotent with nullity at least 2.  ``columns`` maps each nonzero
+    column j of a to its nonzero entries as (k, a[k][j]) terms, the way
+    ``LieAlgebra._rows[i]`` holds the columns of ad(b_i): a has two zero
+    columns or more, and the graph with an edge j -> k for each term has no
+    cycle.
 
     Without a cycle, ordering the basis along the graph makes ``a`` strictly
-    triangular; each zero column is a kernel vector.  The search runs over
-    the reversed graph, whose sources are the zero columns, removing one
-    source at a time: the graph has no cycle exactly when every node goes."""
-    nonzero = a._nonzero_columns()
-    indegree = Counter(chain.from_iterable(nonzero))
-    sources = [j for j in range(a.cols) if j not in indegree]
-    if len(sources) < 2:
+    triangular; each zero column is a kernel vector.  The search removes one
+    node with no edge into it at a time: the graph has no cycle exactly
+    when every node goes."""
+    if n - len(columns) < 2:
         return False
+    indegree = Counter(k for terms in columns.values() for k, _ in terms)
+    sources = [j for j in range(n) if j not in indegree]
     removed = 0
     while sources:
-        k = sources.pop()
+        j = sources.pop()
         removed += 1
-        for j in nonzero[k]:
-            indegree[j] -= 1
-            if not indegree[j]:
-                sources.append(j)
-    return removed == a.cols
+        for k, _ in columns.get(j, ()):
+            indegree[k] -= 1
+            if not indegree[k]:
+                sources.append(k)
+    return removed == n
 
 
 def _roots(f: Field, c) -> list:
@@ -432,7 +429,7 @@ class GrowingSpan:
             if row is None:
                 inv = f.inv(x)
                 # every entry before c has been eliminated or passed over
-                self.rows[c] = (f.zero,) * c + f.reduce([inv * y for y in v[c:]])
+                self.rows[c] = (f.zero,) * c + f.reduce([inv * y if y else y for y in v[c:]])
                 return True
             for i in range(c + 1, self.ambient):
                 if row[i]:

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import LieAlgebra, format_vector, quotient_action
-from .errors import CapabilityError, ContradictionError, HypothesisError, InvarianceError
+from .errors import CapabilityError, ContradictionError, HypothesisError
 from .extremal import EXTREMAL, apply_functional, classify_element
-from .linalg import (Matrix, Subspace, _span, eigenspace, solve, vec_add, vec_combine,
-                     vec_is_zero, vec_scale, vec_sub)
+from .linalg import (Matrix, _span, eigenspace, solve, vec_add, vec_combine, vec_is_zero,
+                     vec_scale, vec_sub)
 
 LABELS = (-2, -1, 0, 1, 2)
 
@@ -92,18 +92,6 @@ def find_witness(l: LieAlgebra, functional):
     raise HypothesisError("sandwich element: the extremal functional vanishes identically")
 
 
-def restrict_operator(m: Matrix, s: Subspace) -> Matrix:
-    """Matrix of an operator on an invariant subspace, in its echelon basis."""
-    cols = []
-    for row in s.basis:
-        image = m.apply(row)
-        coords = s.coords(image)
-        if coords is None:
-            raise InvarianceError("operator does not preserve the subspace")
-        cols.append(coords)
-    return Matrix.from_columns(m.field, cols)
-
-
 def complete_sl2(l: LieAlgebra, x, w):
     """Complete an extremal x and a witness w with f_x(w) = -2 to a triple.
 
@@ -154,13 +142,29 @@ class HGrading:
 
 def h_grading(l: LieAlgebra, t: Sl2Triple) -> HGrading:
     """Eigenspace decomposition of -ad_h, verified to be a direct sum with
-    the line through x at label -2 and the line through y at label 2."""
+    the line through x at label -2 and the line through y at label 2.
+
+    Eigenspaces at distinct eigenvalues are independent, and -2..2 are
+    distinct for p = 0 and p >= 5.  So when those at the labels -1, 0 and 1
+    have dimensions summing to dim - 2 and x and y are nonzero with
+    [h, x] = 2x and [h, y] = -2y, the eigenspaces at -2 and 2 are exactly
+    the lines through x and y, and only three are computed."""
     require_good_characteristic(l)
     f = l.field
     ad_h = l.ad(t.h)
-    components = {i: eigenspace(ad_h, f.of(-i)) for i in LABELS}
-    # Eigenspaces at distinct eigenvalues are independent, and -2..2 are
-    # distinct for p = 0 and p >= 5: the dimensions decide the direct sum.
+    two = f.of(2)
+
+    def eigenvector(v, lam):
+        return len(v) == l.dim and not vec_is_zero(v) and ad_h.apply(v) == vec_scale(f, lam, v)
+
+    inner = {i: eigenspace(ad_h, f.of(-i)) for i in (-1, 0, 1)}
+    if (sum(c.dim for c in inner.values()) == l.dim - 2
+            and eigenvector(t.x, two) and eigenvector(t.y, f.neg(two))):
+        outer = {-2: _span(f, l.dim, [t.x]), 2: _span(f, l.dim, [t.y])}
+    else:
+        outer = {i: eigenspace(ad_h, f.of(-i)) for i in (-2, 2)}
+    components = {i: inner[i] if i in inner else outer[i] for i in LABELS}
+    # the dimensions decide the direct sum
     if sum(c.dim for c in components.values()) != l.dim:
         raise HypothesisError(
             "-ad_h is not diagonalizable with eigenvalues 0, +-1, +-2; "

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lieext import Field, LieAlgebra, builtin
+from lieext import Field, InvarianceError, LieAlgebra, builtin
 from lieext.linalg import Matrix, rref, solve
 
 
@@ -72,3 +72,14 @@ def over_quadratic_extension(l, d):
             shift = n if (a >= n) != (b >= n) else 0        # one factor i
             table[(a, b)] = [(k + shift, f.mul(scale, c)) for k, c in enumerate(coords) if c]
     return LieAlgebra(f, list(l.names) + ["i" + s for s in l.names], table)
+
+
+def restrict_operator(m, s):
+    """Matrix of an operator on an invariant subspace, in its echelon basis."""
+    cols = []
+    for row in s.basis:
+        coords = s.coords(m.apply(row))
+        if coords is None:
+            raise InvarianceError("operator does not preserve the subspace")
+        cols.append(coords)
+    return Matrix.from_columns(m.field, cols)

@@ -40,7 +40,8 @@ from lieext import (
 from lieext.classify import VERDICT_GENERATED, VERDICT_WITT
 from lieext.extremal import EXTREMAL, NOT_EXTREMAL
 from lieext.linalg import kernel, rref, vec_add, vec_scale
-from lieext.sl2 import restrict_operator
+
+from conftest import restrict_operator
 
 
 @contextmanager

@@ -498,10 +498,11 @@ def test_center_and_derived(witt5, wittext5):
 
 
 def test_simplicity_builds_each_basis_adjoint_once(monkeypatch):
-    # the centre and the closures read the stored constants, so the only
-    # adjoints built are the candidates the search for a singular operator
-    # walks, each once: the E_ij, then H1, whose root ends the search (all
-    # n^2 - 1 basis adjoints were built before); is_simple builds none
+    # the centre and the closures read the stored constants, and the search
+    # for a singular operator reads each E_ij's nilpotent pattern off its
+    # stored row, so the only adjoint built is H1's, whose root ends the
+    # search (the E_ij and H1 were built before, and all n^2 - 1 basis
+    # adjoints before that); is_simple builds none
     from lieext.algebra import _sl
 
     calls = []
@@ -511,7 +512,7 @@ def test_simplicity_builds_each_basis_adjoint_once(monkeypatch):
         l = _sl(Field(p), n)
         calls.clear()
         assert meataxe_simple(l).simple
-        assert calls == [l.basis_vector(i) for i in range(l.names.index("H1") + 1)]
+        assert calls == [l.basis_vector(l.names.index("H1"))]
     calls.clear()
     assert is_simple(builtin("sl2", 5)).simple
     assert calls == []
@@ -606,9 +607,10 @@ def test_shift_search_computes_one_kernel(n, p, monkeypatch):
 @pytest.mark.parametrize("n, p", [(3, 5), (4, 5), (5, 7)])
 def test_shift_search_skips_the_characteristic_polynomial_of_nilpotent_candidates(
         n, p, monkeypatch):
-    # the E_ij come first in the basis; each ad(E_ij) has two zero columns or
-    # more and an acyclic pattern, so only H1, which ends the search, needs
-    # its characteristic polynomial (13 were computed on sl4/F5 before)
+    # the E_ij come first in the basis; the stored row of each shows two
+    # zero columns or more of ad(E_ij) and an acyclic pattern, so only H1,
+    # which ends the search, needs its characteristic polynomial (13 were
+    # computed on sl4/F5 before)
     from lieext import algebra
     from lieext.algebra import _sl
     from lieext.linalg import _nilpotent_pattern
@@ -619,9 +621,54 @@ def test_shift_search_skips_the_characteristic_polynomial_of_nilpotent_candidate
     monkeypatch.setattr(algebra, "_charpoly", lambda m: computed.append(m) or charpoly(m))
     assert meataxe_simple(l).simple
     ads = [l.ad(l.basis_vector(i)) for i in range(l.dim)]
-    walked = ads[:ads.index(computed[-1]) + 1]
-    assert computed == [m for m in walked if not _nilpotent_pattern(m)]
+    walked = range(ads.index(computed[-1]) + 1)
+    assert computed == [ads[i] for i in walked if not _nilpotent_pattern(l.dim, l._rows[i])]
     assert computed == [l.ad(l.basis_vector(l.names.index("H1")))]
+
+
+@st.composite
+def _sparse_tables(draw):
+    """A structure tensor over GF(2), GF(5), GF(7) or QQ, not necessarily
+    a Lie algebra, with a few brackets: each [b_i, b_j] a multiple of one
+    b_k with k past i and j (so every ad(b_i) is nilpotent), with k
+    anywhere, or a sum of two such terms."""
+    p = draw(st.sampled_from((2, 5, 7, 0)))
+    n = draw(st.integers(2, 7))
+    coeff = st.integers(1, p - 1) if p else st.integers(-4, 4).filter(bool)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    graded = draw(st.booleans())
+    table = {}
+    for i, j in draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True)):
+        targets = range(j + 1, n) if graded else range(n)
+        if targets:
+            ks = draw(st.lists(st.sampled_from(targets), min_size=1, max_size=2, unique=True))
+            table[(i, j)] = [(k, draw(coeff)) for k in ks]
+    return LieAlgebra(Field(p), [f"b{i}" for i in range(n)], table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_tables())
+def test_stored_row_pattern_fires_only_where_chi_is_x_to_the_n(l):
+    # meataxe_simple skips ad(b_i) and its characteristic polynomial where
+    # the pattern read off the stored row of b_i fires: chi must then be
+    # x^n and 0 a root of two Hessenberg blocks or more, so that the search
+    # would take no shift of b_i; the test agrees with the dense matrix's
+    # zero pattern, nilpotent as a 0/1 matrix with two zero columns or more
+    from lieext.linalg import _charpoly, _nilpotent_pattern
+
+    f, n = l.field, l.dim
+    for i in range(n):
+        a = l.ad(l.basis_vector(i))
+        step = [{k for k in range(n) if a.data[k][j]} for j in range(n)]
+        reach = step
+        for _ in range(n - 1):
+            reach = [set().union(*(step[k] for k in targets)) for targets in reach]
+        fires = _nilpotent_pattern(n, l._rows[i])
+        assert fires == (sum(not s for s in step) >= 2 and not any(reach))
+        if fires:
+            chi, blocks = _charpoly(a)
+            assert chi == [f.zero] * n + [f.one]
+            assert sum(not b[0] for b in blocks) >= 2
 
 
 def test_shift_search_on_large_fields():

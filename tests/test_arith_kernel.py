@@ -7,8 +7,9 @@ below reduce after every operation, through ``Field.add`` and
 ``Field.mul``; both must give the same canonical scalars on dense random
 input over small and large primes and over the rationals.  Also here: the
 listed nonzero columns of ``Matrix.apply``, the centre against the
-all-equations kernel, and the callers of ``Field.add``, ``Field.mul`` and
-``Field.inv`` that the benchmark's traced run counts on.
+all-equations kernel and against the stacked dense adjoints, and the
+callers of ``Field.add``, ``Field.mul`` and ``Field.inv`` that the
+benchmark's traced run counts on.
 """
 
 import collections
@@ -275,6 +276,68 @@ def test_center_matches_the_all_equations_kernel(l):
     c = center(l)
     assert c == center_by_all_equations(l)
     assert all(not any(l.bracket(l.basis_vector(i), v)) for v in c.basis for i in range(l.dim))
+
+
+def center_by_stacked_adjoints(l):
+    """The centre as the kernel of the n^2 x n matrix stacking every dense
+    ad(b_i): v is central exactly when ad(b_i) v = [b_i, v] = 0 for all i."""
+    rows = [row for i in range(l.dim) for row in l.ad(l.basis_vector(i)).data]
+    return kernel(Matrix(l.field, len(rows), l.dim, tuple(rows)))
+
+
+def _sum_of(p, *parts):
+    """The direct sum of builtins over GF(p) (or Q), summands in order."""
+    table, names = {}, []
+    for name in parts:
+        summand = builtin(name, p)
+        shift = len(names)
+        table.update({(i + shift, j + shift): [(k + shift, c) for k, c in terms]
+                      for (i, j), terms in summand.table.items()})
+        names += [f"{b}{shift}" for b in summand.names]
+    return LieAlgebra(Field(p), names, table)
+
+
+def _stacked_cases():
+    for name in BUILTIN_NAMES:
+        for p in ((5,) if name.startswith("witt") else (5, 7, 0)):
+            yield f"{name}/{p}", builtin(name, p)
+    for p in (3, 5, 7):                                 # the scalars are central
+        yield f"sl{p}/F{p}", _sl(Field(p), p)
+    yield "abelian/F7", LieAlgebra(Field(7), ["a", "b", "c", "d"], {})
+    yield "abelian/Q", LieAlgebra(Field(0), ["a"], {})
+    yield "sl2+heisenberg/F5", _sum_of(5, "sl2", "heisenberg")
+    yield "witt5+wittext5/F5", _sum_of(5, "witt5", "wittext5")
+    yield "heisenberg+heisenberg/Q", _sum_of(0, "heisenberg", "heisenberg")
+    yield "sl3+sl2/F7", _sum_of(7, "sl3", "sl2")
+    for name, l, seed in (("sl5/F5", _sl(Field(5), 5), 4), ("sl4/F7", builtin("sl4", 7), 5),
+                          ("wittext5/F5", builtin("wittext5", 5), 6),
+                          ("sl2+heisenberg/F7", _sum_of(7, "sl2", "heisenberg"), 7),
+                          ("sl3/Q", builtin("sl3", 0), 8),
+                          ("heisenberg+sl2/Q", _sum_of(0, "heisenberg", "sl2"), 9)):
+        yield f"{name} random basis", on_random_basis(l, random.Random(seed))[0]
+
+
+@pytest.mark.parametrize("l", [pytest.param(l, id=name) for name, l in _stacked_cases()])
+def test_center_is_the_kernel_of_the_stacked_adjoints(l):
+    assert center(l) == center_by_stacked_adjoints(l)
+
+
+def test_center_builds_no_matrix_and_calls_no_kernel(monkeypatch):
+    # each cut eliminates the candidates' brackets with one b_i, tracking
+    # the candidates, with no Matrix, kernel or Field.of in between
+    from lieext import algebra
+
+    cases = [builtin("wittext5", 5), _sl(Field(5), 5), _sum_of(0, "sl2", "heisenberg"),
+             on_random_basis(_sl(Field(5), 4), random.Random(10))[0]]
+    expected = [center(l) for l in cases]
+
+    def refuse(*_args):
+        raise AssertionError("center built a Matrix or called kernel or Field.of")
+
+    monkeypatch.setattr(algebra, "kernel", refuse)
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    monkeypatch.setattr(Field, "of", refuse)
+    assert [center(l) for l in cases] == expected
 
 
 def test_center_dimensions_of_known_algebras():

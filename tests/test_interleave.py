@@ -44,7 +44,33 @@ def test_summary_per_label_cycle_quantiles_and_differing_outputs(interleave):
         "cycle p90 (10 jobs): parent 28.12 ms, change 28.04 ms, change/parent 0.997",
         # 2 x 1.1 + 1.4 + 6 x 2.2 + 31 and 2 x 0.8 + 1.4 + 6 x 1.1 + 31
         "cycle total (10 jobs): parent 47.8 ms, change 40.6 ms, change/parent 0.849",
+        # round 0: parent 1 x2, 1.4, 2 x6, 30 and change 0.8 x2, 1.4, 1 x6, 30;
+        # p90 sits 0.9 of the way from the 9th latency to the 10th
+        "round p50 (3 rounds): parent 2-2.2-2.4 ms, change 1-1.1-1.2 ms, "
+        "change/parent by round 0.500 0.500 0.500",
+        "round p90 (3 rounds): parent 27.2-28.14-29.02 ms, change 27.14-28.03-28.95 ms, "
+        "change/parent by round 0.998 0.996 0.998",
         "outputs differ on 1 of 4 jobs",
+    ]
+
+
+def test_round_quantiles_show_the_round_that_moved_the_cycle_p50(interleave):
+    # the heavy job's median hides the change's slow third round, which the
+    # cycle p50 of per-job medians never sees; the round p50 shows it
+    records = [
+        _job("light", 3, [1.0, 1.0, 1.0], [1.0, 1.0, 3.0]),
+        _job("heavy", 1, [10.0, 10.0, 10.0], [9.0, 9.0, 9.0]),
+    ]
+    lines = interleave.summarize(records)
+    assert lines[2] == "cycle p50 (4 jobs): parent 1 ms, change 1 ms, change/parent 1.000"
+    assert lines[5:7] == [
+        "round p50 (3 rounds): parent 1-1-1 ms, change 1-1-3 ms, "
+        "change/parent by round 1.000 1.000 3.000",
+        # latencies 1 x3, 10 and 1 x3, 9, then 3 x3, 9: the exclusive p90
+        # of four latencies extrapolates, 1.5 times the largest less 0.5
+        # times the one before it
+        "round p90 (3 rounds): parent 14.5-14.5-14.5 ms, change 12-13-13 ms, "
+        "change/parent by round 0.897 0.897 0.828",
     ]
 
 

@@ -317,7 +317,9 @@ def test_nilpotent_pattern_fires_only_where_charpoly_has_no_single_block_root(a)
     # meataxe_simple skips _charpoly where the test fires: chi must then be
     # x^n, its one root 0, and 0 a root of two blocks or more (roots are
     # found over GF(p) only)
-    fires = _nilpotent_pattern(a)
+    columns = {j: [(k, a.data[k][j]) for k in range(a.rows) if a.data[k][j]]
+               for j in range(a.cols)}
+    fires = _nilpotent_pattern(a.cols, {j: terms for j, terms in columns.items() if terms})
     assert fires == _pattern_reference(a)
     if fires:
         f, n = a.field, a.rows

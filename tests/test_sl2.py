@@ -20,10 +20,11 @@ from lieext import (
     complete_sl2,
 )
 from lieext import algebra, extremal, linalg, sl2
-from lieext.linalg import kernel, rref, solve, vec_add, vec_combine, vec_is_zero, vec_scale
-from lieext.sl2 import LABELS, restrict_operator
+from lieext.linalg import (eigenspace, kernel, rref, solve, vec_add, vec_combine, vec_is_zero,
+                           vec_scale)
+from lieext.sl2 import LABELS, Sl2Triple
 
-from conftest import on_random_basis, rand_vec
+from conftest import on_random_basis, rand_vec, restrict_operator
 
 # (builtin, characteristic, index or coords of a designated extremal element)
 SIMPLE_CASES = [
@@ -152,7 +153,7 @@ def test_completion_property_suite(name, p, _x, monkeypatch):
     reference (kernel, restriction, solve), also in characteristic 5, where the
     [h, x1] term drops out, on dense random bases and over Q; and
     complete_sl2 builds one adjoint, classify_element's ad(x), and calls
-    no kernel, solve or restrict_operator."""
+    no kernel or solve."""
     l, x = designated(name, p)
     if _x == "random_basis":
         l, old_basis = on_random_basis(l, random.Random(1))
@@ -170,7 +171,7 @@ def test_completion_property_suite(name, p, _x, monkeypatch):
         return wrapped
 
     for module in (algebra, extremal, linalg, sl2):
-        for label in ("kernel", "solve", "restrict_operator"):
+        for label in ("kernel", "solve"):
             if hasattr(module, label):
                 monkeypatch.setattr(module, label, counting(label, getattr(module, label)))
     monkeypatch.setattr(LieAlgebra, "ad", counting("ad", LieAlgebra.ad))
@@ -289,6 +290,96 @@ def test_grading_rejects_non_diagonalizable():
     triple, _ = complete_sl2(l, x, w)
     with pytest.raises(HypothesisError):
         h_grading(l, triple)
+
+
+def five_eigenspace_grading(l, t):
+    """The reference grading: all five eigenspaces of -ad_h, then the checks
+    of the direct sum and of the lines through x and y, with their errors."""
+    f = l.field
+    ad_h = l.ad(t.h)
+    components = {i: eigenspace(ad_h, f.of(-i)) for i in LABELS}
+    if sum(c.dim for c in components.values()) != l.dim:
+        raise HypothesisError(
+            "-ad_h is not diagonalizable with eigenvalues 0, +-1, +-2; "
+            "the input violates the preconditions")
+    for label, vec in ((-2, t.x), (2, t.y)):
+        comp = components[label]
+        if comp.dim != 1 or not comp.contains(vec):
+            raise HypothesisError(f"component at label {label} is not the expected line")
+    return components
+
+
+def _grading_outcome(grade, l, t):
+    """The components, in label order, or the error's type and message."""
+    try:
+        components = grade(l, t)
+    except Exception as e:           # compared, type and message, below
+        return type(e), str(e)
+    if not isinstance(components, dict):
+        components = components.components
+    return list(components.items())
+
+
+def _grading_cases():
+    for name, p, _ in SIMPLE_CASES + [("wittext5", 5, None)]:
+        l, x = designated(name, p)
+        yield l, x
+        for seed in (1, 2):
+            dense, old_basis = on_random_basis(l, random.Random(seed))
+            yield dense, vec_combine(l.field, x, old_basis)
+
+
+def test_grading_equals_the_five_eigenspace_construction(monkeypatch):
+    # on a triple from complete_sl2 only the eigenspaces at -1, 0 and 1 are
+    # computed; L-2 and L2 are the lines through x and y
+    computed = []
+    monkeypatch.setattr(sl2, "eigenspace",
+                        lambda m, lam: computed.append(lam) or eigenspace(m, lam))
+    for l, x in _grading_cases():
+        st = classify_element(l, x)
+        triple, _ = complete_sl2(l, x, find_witness(l, st.functional))
+        computed.clear()
+        assert _grading_outcome(h_grading, l, triple) == \
+            _grading_outcome(five_eigenspace_grading, l, triple)
+        assert computed == [l.field.of(1), l.field.zero, l.field.of(-1)]
+
+
+@pytest.mark.parametrize("name,p", [("sl3", 7), ("witt5", 5), ("sl4", 5)])
+def test_grading_of_hand_built_triples_matches_the_reference(name, p):
+    # triples that break the hypotheses, and some that keep them, give the
+    # reference's components or its error, word for word
+    l, t = pipeline_triple(name, p)
+    f = l.field
+    zero = l.zero()
+    triples = [
+        t,
+        Sl2Triple(t.y, t.x, vec_scale(f, f.of(-1), t.h)),     # the reversed triple
+        Sl2Triple(vec_scale(f, f.of(3), t.x), t.y, t.h),       # x rescaled
+        Sl2Triple(t.y, t.x, t.h),                               # x and y swapped
+        Sl2Triple(zero, t.y, t.h),
+        Sl2Triple(t.x, zero, t.h),
+        Sl2Triple(t.x, vec_add(f, t.y, t.h), t.h),              # y off its eigenspace
+        Sl2Triple(t.x, t.x, t.h),
+        Sl2Triple(t.x, t.y, vec_scale(f, f.of(2), t.h)),       # eigenvalues doubled
+        Sl2Triple(t.x, t.y, zero),
+        Sl2Triple(t.x[:-1], t.y, t.h),                          # x of the wrong length
+        Sl2Triple(t.x, t.y + (f.zero,), t.h),
+    ]
+    outcomes = [_grading_outcome(five_eigenspace_grading, l, u) for u in triples]
+    assert any(type(o) is tuple and o[0] is HypothesisError for o in outcomes)
+    assert [_grading_outcome(h_grading, l, u) for u in triples] == outcomes
+
+
+def test_grading_of_a_non_diagonalizable_triple_matches_the_reference():
+    f = Field(7)
+    table = {(a, b): [(a + b - 1, b - a)] for a in range(5) for b in range(a + 1, 5)
+             if a + b - 1 <= 4}
+    l = LieAlgebra(f, ["b0", "b1", "b2", "b3", "b4"], table)
+    x = (0, 0, f.of(-1), 0, 0)
+    triple, _ = complete_sl2(l, x, find_witness(l, classify_element(l, x).functional))
+    outcome = _grading_outcome(h_grading, l, triple)
+    assert outcome == _grading_outcome(five_eigenspace_grading, l, triple)
+    assert outcome[0] is HypothesisError and "not diagonalizable" in outcome[1]
 
 
 def z_graded_all_pairs(l, g):

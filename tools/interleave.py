@@ -18,7 +18,12 @@ Prints, per job label, the min-median milliseconds of each side and the
 median of the change/parent ratios of its pairs; the p50 and p90 of the
 workload's job cycle, each job counted as often as the cycle runs it and
 timed by its median; the cycle's total time, the in-process stand-in for
-the benchmark's jobs_per_s; and the number of jobs whose output differs.
+the benchmark's jobs_per_s; each round's own cycle p50 and p90, every job
+timed by its run in that round, as min-median-max over the rounds on each
+side, with the change/parent ratio of every round; and the number of jobs
+whose output differs.  A quantile of per-job medians can move with one job
+that drew a slow round; the spread of the per-round quantiles shows how
+far.
 """
 
 from __future__ import annotations
@@ -72,6 +77,18 @@ def summarize(records):
         parent, change = cycle["parent"][i], cycle["change"][i]
         lines.append(f"cycle {name} ({sum(weights)} jobs): parent {parent * 1e3:.4g} ms, "
                      f"change {change * 1e3:.4g} ms, change/parent {change / parent:.3f}")
+    rounds = min(len(r[side]) for r in records for side in SIDES)
+    by_round = {side: [cycle_quantiles([r[side][k] for r in records], weights)
+                       for k in range(rounds)] for side in SIDES}
+    for i, name in enumerate(("p50", "p90")):
+        cells = []
+        for side in SIDES:
+            q = sorted(by_round[side][k][i] * 1e3 for k in range(rounds))
+            cells.append(f"{side} {q[0]:.4g}-{statistics.median(q):.4g}-{q[-1]:.4g} ms")
+        ratios = " ".join(f"{c[i] / p[i]:.3f}"
+                          for p, c in zip(by_round["parent"], by_round["change"]))
+        lines.append(f"round {name} ({rounds} rounds): {', '.join(cells)}, "
+                     f"change/parent by round {ratios}")
     differ = sum(not r["same"] for r in records)
     lines.append(f"outputs differ on {differ} of {len(records)} jobs")
     return lines
