@@ -30,7 +30,6 @@ from .algebra import (
     center,
     derived,
     from_json,
-    ideal_closure,
     is_simple,
     meataxe_simple,
     parse_coords,

@@ -199,13 +199,6 @@ def subalgebra_closure(l: LieAlgebra, gens) -> Subspace:
     return GrowingSpan(l.field, l.dim)._close(actions, vecs).to_subspace()
 
 
-def ideal_closure(l: LieAlgebra, gens) -> Subspace:
-    """Smallest subspace containing ``gens`` with [L, result] inside it:
-    the closure of ``gens`` under every ad(b_i), as [b_i, u] = ad(b_i) u."""
-    vecs = [l.check_vector(g) for g in gens]
-    return GrowingSpan(l.field, l.dim)._close(_basis_actions(l), vecs).to_subspace()
-
-
 def _basis_actions(l: LieAlgebra, dual: bool = False) -> list:
     """The map v -> ad(b_i) v for every basis vector, in index order, read
     from the stored constants c_ij^k of [b_i, b_j] = sum_k c_ij^k b_k with

@@ -336,7 +336,7 @@ def classify_theorem_main(l: LieAlgebra, x, assume_simple: bool = False) -> Clas
         simplicity_mode, simplicity_detail = "certified", verdict.detail
 
     w = find_witness(l, status.functional)
-    triple, _ = complete_sl2(l, x, w)
+    triple, _ = complete_sl2(l, status, w)
     grading = h_grading(l, triple)
     quad = quadraticity_check(l, triple)
     if not quad:

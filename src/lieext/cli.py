@@ -217,7 +217,7 @@ def _cmd_sl2(args) -> int:
     x = parse_coords(l.field, args.x, l.dim)
     status = require_extremal(l, x)
     w = find_witness(l, status.functional)
-    triple, cert = complete_sl2(l, x, w)
+    triple, cert = complete_sl2(l, status, w)
     fmt = lambda v: format_vector(l.field, v)
     _emit({
         "command": "sl2",

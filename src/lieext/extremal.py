@@ -27,10 +27,6 @@ class ExtremalStatus:
     kind: str
     functional: "tuple | None"  # f with [x,[x,b_j]] = f_j x; None when not extremal
 
-    @property
-    def is_extremal(self) -> bool:
-        return self.kind != NOT_EXTREMAL
-
 
 def classify_element(l: LieAlgebra, x) -> ExtremalStatus:
     """Decide whether x is extremal, and if so recover its functional.

@@ -58,7 +58,6 @@ class CompletionCertificate:
     w: tuple
     x1: tuple
     w1: tuple
-    y: tuple
 
 
 def triple_relations_hold(l: LieAlgebra, x, y, h) -> bool:
@@ -92,8 +91,12 @@ def find_witness(l: LieAlgebra, functional):
     raise HypothesisError("sandwich element: the extremal functional vanishes identically")
 
 
-def complete_sl2(l: LieAlgebra, x, w):
+def complete_sl2(l: LieAlgebra, status, w):
     """Complete an extremal x and a witness w with f_x(w) = -2 to a triple.
+
+    ``status`` is the :class:`ExtremalStatus` that ``classify_element`` or
+    ``require_extremal`` returned for x; x and its functional f_x are read
+    off it, so no adjoint is built and x is not classified again.
 
     Follows the constructive argument: h = [x, w]; the defect
     x1 = [w, h] - 2w lies in the centralizer C of x, and y = w + w1 where
@@ -106,13 +109,13 @@ def complete_sl2(l: LieAlgebra, x, w):
     relations verifies the formula.
     """
     require_good_characteristic(l)
-    x, w = l.check_vector(x), l.check_vector(w)
+    w = l.check_vector(w)
     f = l.field
-    status = classify_element(l, x)
-    if not status.is_extremal:
+    if status.functional is None:
         raise HypothesisError("x is not extremal")
     if apply_functional(status.functional, w, f) != f.of(-2):
         raise HypothesisError("witness does not satisfy f_x(w) = -2")
+    x = status.vector
     h = l.bracket(x, w)
     x1 = vec_sub(f, l.bracket(w, h), vec_scale(f, f.of(2), w))
     hx1 = l.bracket(h, x1)
@@ -121,7 +124,7 @@ def complete_sl2(l: LieAlgebra, x, w):
     y = vec_add(f, w, w1)
     if not triple_relations_hold(l, x, y, h):
         raise HypothesisError("constructed pair violates the sl2 relations")
-    return Sl2Triple(x, y, h), CompletionCertificate(w, x1, w1, y)
+    return Sl2Triple(x, y, h), CompletionCertificate(w, x1, w1)
 
 
 @dataclass(frozen=True)

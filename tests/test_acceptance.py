@@ -74,13 +74,13 @@ def built_triples():
         l, x = designated_extremal(name, p)
         st = classify_element(l, x)
         w = find_witness(l, st.functional)
-        triple, _ = complete_sl2(l, x, w)
+        triple, _ = complete_sl2(l, st, w)
         out.append((f"{name}/F{p}", l, triple))
     ext = builtin("wittext5", 5)
     q = quotient_algebra(ext, center(ext))
     x = (0, 0, q.field.of(-1), 0, 0)
     st = classify_element(q, x)
-    triple, _ = complete_sl2(q, x, find_witness(q, st.functional))
+    triple, _ = complete_sl2(q, st, find_witness(q, st.functional))
     out.append(("wittext5/center quotient", q, triple))
     return out
 
@@ -178,7 +178,7 @@ def test_criterion_4_completion_property_suite():
             st = classify_element(l, x)
             c = kernel(l.ad(x))
             for w in seeded_witnesses(l, st.functional, 50, seed=1729):
-                triple, _ = complete_sl2(l, x, w)  # verifies the pair relations exactly
+                triple, _ = complete_sl2(l, st, w)  # verifies the pair relations exactly
                 h_c = restrict_operator(l.ad(triple.h), c)
                 assert rref(h_c.add_scalar_diag(f.of(2)))[1] == c.dim
                 prod = h_c.mul(h_c.add_scalar_diag(f.of(-1))).mul(h_c.add_scalar_diag(f.of(-2)))

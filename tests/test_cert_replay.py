@@ -71,8 +71,8 @@ def test_certificate_relations_vanish_on_the_quotient_action(n, p, seed):
     if seed is not None:
         l, old_basis = on_random_basis(l, random.Random(seed))
         x = old_basis[n - 2]
-    w = find_witness(l, classify_element(l, x).functional)
-    t, _ = complete_sl2(l, x, w)
+    st = classify_element(l, x)
+    t, _ = complete_sl2(l, st, find_witness(l, st.functional))
     s = _span(field, l.dim, [t.x, t.y, t.h])
     X, Y = quotient_action(l, s, [t.x, t.y])
     assert not X.is_zero() and not Y.is_zero()

@@ -33,7 +33,7 @@ from conftest import on_random_basis
 def pipeline(l, x):
     st = classify_element(l, x)
     w = find_witness(l, st.functional)
-    triple, _ = complete_sl2(l, x, w)
+    triple, _ = complete_sl2(l, st, w)
     grading = h_grading(l, triple)
     return triple, grading
 
@@ -633,6 +633,29 @@ def test_certified_pipeline_builds_each_adjoint_once(name, p, x_index, monkeypat
     assert len(built) <= 2 * l.dim
     assert sum(map(len, built.values())) > len(built)
     assert all(m is first for first, *rest in built.values() for m in rest)
+
+
+@pytest.mark.parametrize("name, p, x_index, classified", [
+    ("sl4", 5, 2, 2),       # E14: x, then y in the regular branch
+    ("witt5", 5, 2, 1),     # z^2*Dz: x only, the exceptional branch classifies no y
+])
+def test_certified_pipeline_classifies_x_once(name, p, x_index, classified, monkeypatch):
+    """The sl2 stage takes the status require_extremal returned for x, so x
+    is classified once; dichotomy classifies y, its reported relation."""
+    from lieext import extremal, sl2
+
+    l = builtin(name, p)
+    operands = []
+    original = extremal.classify_element
+
+    def counting(alg, v):
+        operands.append(tuple(v))
+        return original(alg, v)
+
+    for module in (extremal, sl2):
+        monkeypatch.setattr(module, "classify_element", counting)
+    report = classify_theorem_main(l, l.basis_vector(x_index))
+    assert operands == [report.x, report.triple.y][:classified]
 
 
 # -- the certificate's spans against the closures they replace ---------------------------

@@ -46,7 +46,8 @@ def perturbed(l, rng):
 def test_corrupt_tables_end_in_a_documented_exit_code(name, p, x_index, tmp_path, capsys):
     l = builtin(name, p)
     x = designated(l, x_index)
-    t, _ = complete_sl2(l, x, find_witness(l, classify_element(l, x).functional))
+    st = classify_element(l, x)
+    t, _ = complete_sl2(l, st, find_witness(l, st.functional))
     coords = [",".join(map(l.field.format, v)) for v in (t.x, t.y)]
     rng = random.Random(f"{name}/{p}")
     codes = set()

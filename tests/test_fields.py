@@ -26,6 +26,10 @@ def test_scalars_are_canonical(gf5, qq):
     assert qq.of(2) == Fraction(2)
     # canonical values compare equal iff identical
     assert gf5.of(7) == gf5.of(2)
+    # a rational reduces mod p through its numerator and denominator
+    assert Field(5).of(Fraction(1, 2)) == 3
+    assert Field(5).of(Fraction(-3)) == 2
+    assert Field(7).of(Fraction(3, 4)) == 6
 
 
 def test_division_by_zero_raises(gf5, qq):
@@ -33,6 +37,8 @@ def test_division_by_zero_raises(gf5, qq):
         gf5.div(gf5.one, gf5.zero)
     with pytest.raises(DomainError):
         qq.inv(qq.zero)
+    with pytest.raises(DomainError):
+        Field(5).of(Fraction(1, 5))         # the denominator vanishes mod 5
 
 
 def test_rational_inverse_is_exact(qq):

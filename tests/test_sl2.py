@@ -100,7 +100,7 @@ def test_completion_on_witt5_reproduces_known_triple(witt5):
     f = witt5.field
     x = (0, 0, f.of(-1), 0, 0)
     w = witt5.basis_vector(0)
-    triple, cert = complete_sl2(witt5, x, w)
+    triple, cert = complete_sl2(witt5, classify_element(witt5, x), w)
     assert triple.h == (0, 2, 0, 0, 0)          # 2z Dz
     assert triple.y == witt5.basis_vector(0)    # Dz
     assert vec_is_zero(cert.x1) and vec_is_zero(cert.w1)
@@ -109,7 +109,7 @@ def test_completion_on_witt5_reproduces_known_triple(witt5):
 def test_completion_on_sl3():
     l = builtin("sl3", 7)
     x, w = l.basis_vector(1), l.basis_vector(4)
-    triple, cert = complete_sl2(l, x, w)
+    triple, cert = complete_sl2(l, classify_element(l, x), w)
     assert triple.y == w                         # already a perfect partner
     assert triple.h == (0, 0, 0, 0, 0, 0, 1, 1)  # E11 - E33 = H1 + H2
     assert vec_is_zero(cert.x1)
@@ -118,21 +118,24 @@ def test_completion_on_sl3():
 def test_completion_rejects_bad_witness(witt5):
     f = witt5.field
     x = (0, 0, f.of(-1), 0, 0)
-    with pytest.raises(HypothesisError):
-        complete_sl2(witt5, x, witt5.basis_vector(1))  # f_x(z*Dz) = 0 != -2
+    st = classify_element(witt5, x)
+    with pytest.raises(HypothesisError, match=r"^witness does not satisfy f_x\(w\) = -2$"):
+        complete_sl2(witt5, st, witt5.basis_vector(1))  # f_x(z*Dz) = 0 != -2
 
 
 def test_completion_rejects_non_extremal():
     l = builtin("sl2", 5)
-    with pytest.raises(HypothesisError):
-        complete_sl2(l, l.basis_vector(2), l.basis_vector(0))
+    st = classify_element(l, l.basis_vector(2))
+    with pytest.raises(HypothesisError, match="^x is not extremal$"):
+        complete_sl2(l, st, l.basis_vector(0))
 
 
 def test_completion_characteristic_guard():
     f = Field(3)
     l = LieAlgebra(f, ("a", "b"), {(0, 1): [(0, 1)]})
-    with pytest.raises(CapabilityError):
-        complete_sl2(l, l.basis_vector(0), l.basis_vector(1))
+    st = classify_element(l, l.basis_vector(0))
+    with pytest.raises(CapabilityError, match="characteristic different from 2 and 3"):
+        complete_sl2(l, st, l.basis_vector(1))
 
 
 # SIMPLE_CASES, then more fields, then designated elements on the basis
@@ -152,8 +155,8 @@ def test_completion_property_suite(name, p, _x, monkeypatch):
     t + 2 on C.  The closed form's w1 and y agree with a linear-algebra
     reference (kernel, restriction, solve), also in characteristic 5, where the
     [h, x1] term drops out, on dense random bases and over Q; and
-    complete_sl2 builds one adjoint, classify_element's ad(x), and calls
-    no kernel or solve."""
+    complete_sl2 reads x and f_x off the status, so it builds no adjoint
+    and calls no kernel or solve."""
     l, x = designated(name, p)
     if _x == "random_basis":
         l, old_basis = on_random_basis(l, random.Random(1))
@@ -177,8 +180,8 @@ def test_completion_property_suite(name, p, _x, monkeypatch):
     monkeypatch.setattr(LieAlgebra, "ad", counting("ad", LieAlgebra.ad))
     for w in witnesses(l, x, st.functional, 50):
         calls.clear()
-        triple, cert = complete_sl2(l, x, w)
-        assert calls == ["ad"]
+        triple, cert = complete_sl2(l, st, w)
+        assert calls == []
         assert triple.x == x
         assert vec_add(f, cert.w, cert.w1) == triple.y
         # the triple depends on w, the relations never do (checked inside
@@ -214,7 +217,7 @@ def pipeline_triple(name, p):
     l, x = designated(name, p)
     st = classify_element(l, x)
     w = find_witness(l, st.functional)
-    triple, _ = complete_sl2(l, x, w)
+    triple, _ = complete_sl2(l, st, w)
     return l, triple
 
 
@@ -287,7 +290,7 @@ def test_grading_rejects_non_diagonalizable():
     x = (0, 0, f.of(-1), 0, 0)
     st = classify_element(l, x)
     w = find_witness(l, st.functional)
-    triple, _ = complete_sl2(l, x, w)
+    triple, _ = complete_sl2(l, st, w)
     with pytest.raises(HypothesisError):
         h_grading(l, triple)
 
@@ -337,7 +340,7 @@ def test_grading_equals_the_five_eigenspace_construction(monkeypatch):
                         lambda m, lam: computed.append(lam) or eigenspace(m, lam))
     for l, x in _grading_cases():
         st = classify_element(l, x)
-        triple, _ = complete_sl2(l, x, find_witness(l, st.functional))
+        triple, _ = complete_sl2(l, st, find_witness(l, st.functional))
         computed.clear()
         assert _grading_outcome(h_grading, l, triple) == \
             _grading_outcome(five_eigenspace_grading, l, triple)
@@ -376,7 +379,8 @@ def test_grading_of_a_non_diagonalizable_triple_matches_the_reference():
              if a + b - 1 <= 4}
     l = LieAlgebra(f, ["b0", "b1", "b2", "b3", "b4"], table)
     x = (0, 0, f.of(-1), 0, 0)
-    triple, _ = complete_sl2(l, x, find_witness(l, classify_element(l, x).functional))
+    st = classify_element(l, x)
+    triple, _ = complete_sl2(l, st, find_witness(l, st.functional))
     outcome = _grading_outcome(h_grading, l, triple)
     assert outcome == _grading_outcome(five_eigenspace_grading, l, triple)
     assert outcome[0] is HypothesisError and "not diagonalizable" in outcome[1]
@@ -400,7 +404,7 @@ def test_grading_two_pairs_decide_integer_grading(name, p):
         cases.append((dense, vec_combine(l.field, x, old_basis)))
     for alg, vec in cases:
         st = classify_element(alg, vec)
-        triple, _ = complete_sl2(alg, vec, find_witness(alg, st.functional))
+        triple, _ = complete_sl2(alg, st, find_witness(alg, st.functional))
         g = h_grading(alg, triple)
         assert g.z_graded == z_graded_all_pairs(alg, g)
         if name.startswith("witt"):
@@ -420,7 +424,7 @@ def test_quadraticity_on_central_quotient_of_extension(wittext5):
     f = q.field
     x = (0, 0, f.of(-1), 0, 0)
     st = classify_element(q, x)
-    triple, _ = complete_sl2(q, x, find_witness(q, st.functional))
+    triple, _ = complete_sl2(q, st, find_witness(q, st.functional))
     assert quadraticity_check(q, triple)
 
 
@@ -466,7 +470,7 @@ def test_dichotomy_contradiction_on_corrupt_tensor():
     assert not l.validate().ok
     x = l.basis_vector(0)
     st = classify_element(l, x)
-    triple, _ = complete_sl2(l, x, find_witness(l, st.functional))
+    triple, _ = complete_sl2(l, st, find_witness(l, st.functional))
     g = h_grading(l, triple)
     with pytest.raises(ContradictionError):
         dichotomy(l, triple, g)

@@ -5,11 +5,12 @@
 Generates the inputs of both perfbench workloads at seeds 1-3 with
 CHECKOUT's ``perfbench/gen.py``, drawn exactly as ``perfbench/run.py``
 draws them, into a temporary directory outside the checkout.  Each
-distinct argv then runs once through CHECKOUT's ``lieext.cli.run``.  One
-line is printed per generated file and one per job, each with a digest of
-its content or of the job's exit code, stdout and stderr, so ``diff`` of
-the output for two checkouts names every job whose answer changed.
-Nothing is written into the checkout.
+distinct argv then runs once through CHECKOUT's ``lieext.cli.run``, and so
+does ``sl2 FILE --x X`` for each distinct FILE and X of a classify job, the
+sl2 stage of that job on its own.  One line is printed per generated file
+and one per job, each with a digest of its content or of the job's exit
+code, stdout and stderr, so ``diff`` of the output for two checkouts names
+every job whose answer changed.  Nothing is written into the checkout.
 """
 
 from __future__ import annotations
@@ -86,8 +87,9 @@ def main(argv=None):
                 for name in sorted(os.listdir(rel)):
                     with open(os.path.join(rel, name), "rb") as fh:
                         print(f"file {digest(fh.read())} {rel}/{name}")
+            sl2 = [["sl2", *job[1:4]] for job in argvs if job[0] == "classify"]
             seen = set()
-            for job in argvs:
+            for job in argvs + sl2:
                 if tuple(job) in seen:
                     continue
                 seen.add(tuple(job))
