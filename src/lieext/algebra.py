@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .errors import (
     CapabilityError,
@@ -167,8 +167,7 @@ class LieAlgebra:
         return ValidationReport(tuple(violations))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple
 
     @property
@@ -176,8 +175,7 @@ class ValidationReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class SimplicityVerdict:
+class SimplicityVerdict(NamedTuple):
     """An exact simplicity answer; a negative one names a proper ideal
     unless the algebra is abelian."""
 

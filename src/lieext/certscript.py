@@ -22,7 +22,7 @@ carry coefficient one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapabilityError, DomainError, ParseError
 from .fields import Field, _natural
@@ -38,8 +38,7 @@ _RE_ASSERT_SPAN = re.compile(r"^assert\s+span\(([0-9]+)\)\s*==\s*(.+)$")
 EXCERPT_LIMIT = 80   # longest expression text quoted whole in a parse error
 
 
-@dataclass(frozen=True)
-class CertAssertion:
+class CertAssertion(NamedTuple):
     line: int
     kind: str      # "reduce" | "span"
     ok: bool
@@ -47,8 +46,7 @@ class CertAssertion:
     residual: str  # difference on failure, empty when ok
 
 
-@dataclass(frozen=True)
-class CertResult:
+class CertResult(NamedTuple):
     characteristic: int
     symbols: tuple
     assertions: tuple

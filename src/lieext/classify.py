@@ -6,7 +6,7 @@ between the two possible verdicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (
     LieAlgebra,
@@ -51,8 +51,7 @@ def exp_ad(l: LieAlgebra, adz, x):
     return vec_combine(f, [f.one, f.one] + [f.inv(f.of(k)) for k in (2, 6, 24)], terms)
 
 
-@dataclass(frozen=True)
-class ExtremalGenCertificate:
+class ExtremalGenCertificate(NamedTuple):
     z: tuple
     alpha: object
     h1: tuple
@@ -193,8 +192,7 @@ def _rule_value(f: Field, rhs: dict, vecs):
     return vec_combine(f, [f.of(rhs.get(k, 0)) for k in range(len(vecs))], vecs)
 
 
-@dataclass(frozen=True)
-class WittIsoReport:
+class WittIsoReport(NamedTuple):
     target: str                 # "W" | "W_tilde"
     spanning: tuple             # the six vectors in SPANNING_LABELS order
     rules: tuple                # names of the verified multiplication rules
@@ -247,8 +245,7 @@ def witt_recognize(l: LieAlgebra, t: Sl2Triple, v) -> WittIsoReport:
 # pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     verdict: str
     field_characteristic: int
     dim: int

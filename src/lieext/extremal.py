@@ -8,9 +8,9 @@ a single coordinate cannot produce a false positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import mul
+from typing import NamedTuple
 
 from .algebra import EXHAUSTIVE_LIMIT, LieAlgebra, _projective_representatives
 from .errors import CapabilityError, DomainError, HypothesisError
@@ -21,8 +21,7 @@ SANDWICH = "sandwich"
 EXTREMAL = "extremal_nonsandwich"
 
 
-@dataclass(frozen=True)
-class ExtremalStatus:
+class ExtremalStatus(NamedTuple):
     vector: tuple
     kind: str
     functional: "tuple | None"  # f with [x,[x,b_j]] = f_j x; None when not extremal
@@ -101,8 +100,7 @@ def scan_basis(l: LieAlgebra) -> list:
     return [classify_element(l, l.basis_vector(i)) for i in range(l.dim)]
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     extremal: tuple
     sandwich: tuple
     counts: dict

@@ -10,7 +10,7 @@ constants themselves must be corrupt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import LieAlgebra, format_vector, quotient_action
 from .errors import CapabilityError, ContradictionError, HypothesisError
@@ -41,8 +41,7 @@ def require_good_characteristic(l: LieAlgebra):
         raise CapabilityError("this construction needs characteristic different from 2 and 3")
 
 
-@dataclass(frozen=True)
-class Sl2Triple:
+class Sl2Triple(NamedTuple):
     x: tuple
     y: tuple
     h: tuple
@@ -53,8 +52,7 @@ class Sl2Triple:
                 "h": format_vector(field, self.h)}
 
 
-@dataclass(frozen=True)
-class CompletionCertificate:
+class CompletionCertificate(NamedTuple):
     w: tuple
     x1: tuple
     w1: tuple
@@ -127,8 +125,7 @@ def complete_sl2(l: LieAlgebra, status, w):
     return Sl2Triple(x, y, h), CompletionCertificate(w, x1, w1)
 
 
-@dataclass(frozen=True)
-class HGrading:
+class HGrading(NamedTuple):
     """Eigenspace decomposition of -ad_h at the labels -2..2.
 
     For characteristic p >= 5 the labels are lifted from residues
@@ -192,8 +189,7 @@ def quadraticity_check(l: LieAlgebra, t: Sl2Triple) -> bool:
     return m.mul(m).is_zero()
 
 
-@dataclass(frozen=True)
-class DichotomyResult:
+class DichotomyResult(NamedTuple):
     branch: str                      # "exceptional" | "regular"
     v: "tuple | None"                # exceptional: [y, [y, v]] = x with v in L_-1
     note: str = ""
