@@ -17,7 +17,7 @@ from .algebra import (
     subalgebra_closure,
 )
 from .errors import CapabilityError, ContradictionError, HypothesisError
-from .extremal import EXTREMAL, _functional, _kind, require_extremal
+from .extremal import EXTREMAL, _functional, _kind, classify_element, require_extremal
 from .fields import Field
 from .linalg import _span, vec_add, vec_combine, vec_is_zero, vec_ratio, vec_scale, vec_sub
 from .sl2 import (
@@ -335,10 +335,12 @@ def classify_theorem_main(l: LieAlgebra, x, assume_simple: bool = False) -> Clas
     w = find_witness(l, status.functional)
     triple, _ = complete_sl2(l, status, w)
     grading = h_grading(l, triple)
-    quad = quadraticity_check(l, triple)
+    y_status = classify_element(l, triple.y)
+    # an extremal y has [y, [y, L]] in F*y by bilinearity alone, no Jacobi identity
+    quad = y_status.functional is not None or quadraticity_check(l, triple)
     if not quad:
         raise ContradictionError("the nilnegative member does not act quadratically modulo the triple")
-    outcome = dichotomy(l, triple, grading)
+    outcome = dichotomy(l, triple, grading, y_status)
 
     common = dict(
         field_characteristic=l.field.p,

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .algebra import LieAlgebra, format_vector, quotient_action
 from .errors import CapabilityError, ContradictionError, HypothesisError
-from .extremal import EXTREMAL, apply_functional, classify_element
+from .extremal import EXTREMAL, apply_functional
 from .linalg import (Matrix, _span, eigenspace, solve, vec_add, vec_combine, vec_is_zero,
                      vec_scale, vec_sub)
 
@@ -201,10 +201,12 @@ GRADING_MAP_NOTE = (
     "with the grading and is treated as a typo")
 
 
-def dichotomy(l: LieAlgebra, t: Sl2Triple, g: HGrading) -> DichotomyResult:
-    """Either produce v in L_-1 with [y, [y, v]] = x (characteristic 5 only),
-    or verify the regular outcome: y extremal, a genuine integer grading,
-    and the maps [x, .]: L1 -> L-1, [y, .]: L-1 -> L1 being onto."""
+def dichotomy(l: LieAlgebra, t: Sl2Triple, g: HGrading, y_status) -> DichotomyResult:
+    """Either produce v in L_-1 with [y, [y, v]] = x (characteristic 5 only), or
+    verify the regular outcome: y extremal, read off y's ``ExtremalStatus``, a
+    genuine integer grading, and [x, .]: L1 -> L-1, [y, .]: L-1 -> L1 onto."""
+    if y_status.vector != tuple(t.y):
+        raise HypothesisError("the extremal status is not that of the triple's y")
     f = l.field
     lm1 = g.components[-1]
     l1 = g.components[1]
@@ -227,7 +229,7 @@ def dichotomy(l: LieAlgebra, t: Sl2Triple, g: HGrading) -> DichotomyResult:
             raise ContradictionError("solver returned a non-solution")
         return DichotomyResult("exceptional", v)
     check = _Relations(ContradictionError, "regular-branch verification")
-    check("y_extremal", classify_element(l, t.y).kind == EXTREMAL)
+    check("y_extremal", y_status.kind == EXTREMAL)
     check("x_maps_L1_onto_L-1",
           _span(f, l.dim, [l.bracket(t.x, b) for b in l1.basis]) == lm1)
     check("y_maps_L-1_onto_L1",

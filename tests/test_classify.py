@@ -227,7 +227,7 @@ def test_witt_recognize_on_witt5(witt5):
     f = witt5.field
     x = (0, 0, f.of(-1), 0, 0)
     triple, grading = pipeline(witt5, x)
-    res = dichotomy(witt5, triple, grading)
+    res = dichotomy(witt5, triple, grading, classify_element(witt5, triple.y))
     iso = witt_recognize(witt5, triple, res.v)
     assert iso.target == "W"
     assert iso.spanning[3] == (0, 0, 0, 0, 2)      # v = 2 z^4 Dz
@@ -248,7 +248,7 @@ def test_witt_recognize_on_extension(wittext5):
     f = wittext5.field
     x = (0, 0, f.of(-1), 0, 0, 0)
     triple, grading = pipeline(wittext5, x)
-    res = dichotomy(wittext5, triple, grading)
+    res = dichotomy(wittext5, triple, grading, classify_element(wittext5, triple.y))
     iso = witt_recognize(wittext5, triple, res.v)
     assert iso.target == "W_tilde"
     assert iso.spanning[5] == (0, 0, 0, 0, 0, 1)   # exactly z^6 Dz
@@ -262,7 +262,7 @@ def test_witt_recognize_rescaled_input(witt5):
     for lam in (2, 3, 4):
         x = vec_scale(f, f.of(lam), (0, 0, f.of(-1), 0, 0))
         triple, grading = pipeline(witt5, x)
-        res = dichotomy(witt5, triple, grading)
+        res = dichotomy(witt5, triple, grading, classify_element(witt5, triple.y))
         iso = witt_recognize(witt5, triple, res.v)
         assert iso.target == "W"
 
@@ -277,7 +277,7 @@ def test_witt_recognize_rejects_bad_v(witt5):
 
 def witt_case(l, x):
     triple, grading = pipeline(l, x)
-    return triple, dichotomy(l, triple, grading).v
+    return triple, dichotomy(l, triple, grading, classify_element(l, triple.y)).v
 
 
 def test_witt_rules_are_the_fifteen_pairs_in_order():
@@ -635,14 +635,15 @@ def test_certified_pipeline_builds_each_adjoint_once(name, p, x_index, monkeypat
     assert all(m is first for first, *rest in built.values() for m in rest)
 
 
-@pytest.mark.parametrize("name, p, x_index, classified", [
-    ("sl4", 5, 2, 2),       # E14: x, then y in the regular branch
-    ("witt5", 5, 2, 1),     # z^2*Dz: x only, the exceptional branch classifies no y
+@pytest.mark.parametrize("name, p, x_index", [
+    ("sl4", 5, 2),          # E14: the regular branch
+    ("witt5", 5, 2),        # z^2*Dz: the exceptional branch
 ])
-def test_certified_pipeline_classifies_x_once(name, p, x_index, classified, monkeypatch):
-    """The sl2 stage takes the status require_extremal returned for x, so x
-    is classified once; dichotomy classifies y, its reported relation."""
-    from lieext import extremal, sl2
+def test_certified_pipeline_classifies_x_once_and_y_once(name, p, x_index, monkeypatch):
+    """The sl2 stage takes the status require_extremal returned for x, and
+    dichotomy the status classify took for y before quadraticity, so each is
+    classified once, on both branches."""
+    from lieext import extremal
 
     l = builtin(name, p)
     operands = []
@@ -652,10 +653,50 @@ def test_certified_pipeline_classifies_x_once(name, p, x_index, classified, monk
         operands.append(tuple(v))
         return original(alg, v)
 
-    for module in (extremal, sl2):
+    for module in (extremal, classify):
         monkeypatch.setattr(module, "classify_element", counting)
     report = classify_theorem_main(l, l.basis_vector(x_index))
-    assert operands == [report.x, report.triple.y][:classified]
+    assert operands == [report.x, report.triple.y]
+
+
+@pytest.mark.parametrize("name, p, seed, assume_simple, products", [
+    *[(name, p, seed, False, 0)
+      for name, p in (("sl3", 7), ("sl4", 5), ("sl5", 7)) for seed in (None, 1)],
+    ("witt5", 5, None, False, 1),
+    ("witt5", 5, 1, False, 1),
+    ("witt5", 5, None, True, 1),
+    ("wittext5", 5, None, True, 1),
+])
+def test_classify_multiplies_matrices_only_when_y_is_not_extremal(
+        name, p, seed, assume_simple, products, monkeypatch):
+    # An extremal y settles quadraticity, so the regular branch makes no
+    # matrix product; on the Witt branch y is not extremal and
+    # quadraticity_check multiplies the quotient action by itself once.
+    # The witt5 classify jobs, certified and assumed, are then the only
+    # callers of Matrix.mul in both benchmark workloads, whose traced run
+    # requires that it be called.
+    from lieext.algebra import _sl
+
+    if name.startswith("witt"):
+        l, x_index = builtin(name, p), 2
+    else:
+        l, x_index = _sl(Field(p), int(name[2:])), int(name[2:]) - 2
+    x = l.basis_vector(x_index)
+    if seed is not None:
+        l, old_basis = on_random_basis(l, random.Random(seed))
+        x = old_basis[x_index]
+    calls = []
+    mul = Matrix.mul
+
+    def counting(self, other):
+        calls.append((self.rows, other.cols))
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "mul", counting)
+    report = classify_theorem_main(l, x, assume_simple=assume_simple)
+    assert report.quadratic_on_quotient
+    assert report.verdict == (VERDICT_WITT if name.startswith("witt") else VERDICT_GENERATED)
+    assert calls == [(l.dim - 3, l.dim - 3)] * products
 
 
 # -- the certificate's spans against the closures they replace ---------------------------

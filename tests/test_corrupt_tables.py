@@ -4,12 +4,19 @@ through it to a documented exit code (0-3), never to an internal error (4)
 or an escaping exception, whatever the broken Jacobi identity does to the
 pipeline."""
 
+import json
 import random
+from collections import Counter
 
 import pytest
 
-from lieext import LieAlgebra, builtin, classify_element, complete_sl2, find_witness, to_json
-from lieext.cli import EXIT_INTERNAL, run
+from lieext import (Field, HypothesisError, LieAlgebra, builtin, classify_element, complete_sl2,
+                    find_witness, h_grading, quadraticity_check, to_json)
+from lieext.algebra import _sl
+from lieext.cli import EXIT_CONTRADICTION, EXIT_INTERNAL, EXIT_OK, run
+from lieext.extremal import EXTREMAL
+
+from conftest import on_random_basis
 
 # name, p, designated extremal x
 ALGEBRAS = [
@@ -64,3 +71,58 @@ def test_corrupt_tables_end_in_a_documented_exit_code(name, p, x_index, tmp_path
             assert 0 <= code <= 3, argv
             codes.add(code)
     assert codes - {0}, "no perturbation changed an outcome"
+
+
+def quadraticity_cases():
+    """(label, algebra, x): the perturbed tables of the test above, drawn
+    from the same seeds, then sl3-sl5 over F5 and F7 on two random bases
+    each, with x = E1n."""
+    for name, p, x_index in ALGEBRAS:
+        l = builtin(name, p)
+        rng = random.Random(f"{name}/{p}")
+        for n in range(PERTURBATIONS):
+            yield f"{name}/{p} corrupt {n}", perturbed(l, rng), designated(l, x_index)
+    for n in (3, 4, 5):
+        for p in (5, 7):
+            for seed in (1, 2):
+                dense, old_basis = on_random_basis(_sl(Field(p), n), random.Random(seed))
+                yield f"sl{n}/{p} basis {seed}", dense, old_basis[n - 2]
+
+
+def test_extremal_y_settles_quadraticity_as_the_product_does(tmp_path, capsys):
+    """classify records y's quadratic action without the matrix product when
+    y has an extremal functional, since [y, [y, L]] then lies in F*y by
+    bilinearity alone.  On every triple built here, Jacobi broken or not, the
+    product computed by quadraticity_check agrees: it is zero whenever y has
+    a functional, and classify's report and exit code follow the product."""
+    seen = Counter()
+    for label, l, x in quadraticity_cases():
+        st = classify_element(l, x)
+        if st.kind != EXTREMAL:
+            continue
+        try:
+            t, _ = complete_sl2(l, st, find_witness(l, st.functional))
+        except HypothesisError:
+            continue
+        product = quadraticity_check(l, t)
+        y_has_functional = classify_element(l, t.y).functional is not None
+        if y_has_functional:
+            assert product, label
+        try:
+            h_grading(l, t)
+            graded = True
+        except HypothesisError:
+            graded = False
+        path = tmp_path / "case.json"
+        path.write_text(to_json(l))
+        code = run(["classify", str(path), "--x", ",".join(map(l.field.format, x)),
+                    "--assume-simple"])
+        out, err = capsys.readouterr()
+        if code == EXIT_OK:
+            assert product and json.loads(out)["quadratic_on_quotient"] is True, label
+        if graded:
+            assert (code == EXIT_CONTRADICTION and "act quadratically" in err) == (not product), label
+        seen[y_has_functional, product] += 1
+    # both ways through the shortcut, and products that fail, are exercised
+    assert seen[True, True] and seen[False, True] and seen[False, False], seen
+    assert not seen[True, False]

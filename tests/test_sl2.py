@@ -438,7 +438,7 @@ def test_quadraticity_vacuous_when_algebra_is_the_triple_span():
 def test_dichotomy_witt5_exceptional(witt5):
     l, t = pipeline_triple("witt5", 5)
     g = h_grading(l, t)
-    res = dichotomy(l, t, g)
+    res = dichotomy(l, t, g, classify_element(l, t.y))
     assert res.branch == "exceptional"
     assert res.v == (0, 0, 0, 0, 2)  # 2 z^4 Dz
     assert l.bracket(t.y, l.bracket(t.y, res.v)) == t.x
@@ -448,9 +448,30 @@ def test_dichotomy_sl3_regular_at_both_characteristics():
     for p in (5, 7):
         l, t = pipeline_triple("sl3", p)
         g = h_grading(l, t)
-        res = dichotomy(l, t, g)
+        res = dichotomy(l, t, g, classify_element(l, t.y))
         assert res.branch == "regular"
         assert "treated as a typo" in res.note
+
+
+def test_dichotomy_regular_branch_reads_y_extremal_off_the_status():
+    # the status is read, not recomputed: a NOT_EXTREMAL status for the
+    # triple's own y fails the first regular-branch check
+    l, t = pipeline_triple("sl3", 7)
+    g = h_grading(l, t)
+    st = classify_element(l, t.y)
+    assert st.kind == extremal.EXTREMAL
+    forged = st._replace(kind=extremal.NOT_EXTREMAL, functional=None)
+    with pytest.raises(ContradictionError, match="regular-branch verification failed: y_extremal"):
+        dichotomy(l, t, g, forged)
+
+
+@pytest.mark.parametrize("name, p", [("sl3", 7), ("witt5", 5)])
+def test_dichotomy_refuses_the_status_of_another_vector(name, p):
+    l, t = pipeline_triple(name, p)
+    g = h_grading(l, t)
+    for v in (t.x, t.h, vec_scale(l.field, l.field.of(2), t.y)):
+        with pytest.raises(HypothesisError, match="not that of the triple's y"):
+            dichotomy(l, t, g, classify_element(l, v))
 
 
 def test_dichotomy_contradiction_on_corrupt_tensor():
@@ -473,4 +494,4 @@ def test_dichotomy_contradiction_on_corrupt_tensor():
     triple, _ = complete_sl2(l, st, find_witness(l, st.functional))
     g = h_grading(l, triple)
     with pytest.raises(ContradictionError):
-        dichotomy(l, triple, g)
+        dichotomy(l, triple, g, classify_element(l, triple.y))
