@@ -3,7 +3,7 @@ import random
 import pytest
 
 from lieext import Field, InvarianceError, LieAlgebra, builtin
-from lieext.linalg import Matrix, rref, solve
+from lieext.linalg import Matrix, rref, solve, vec_is_zero
 
 
 @pytest.fixture
@@ -29,6 +29,40 @@ def witt5():
 @pytest.fixture
 def wittext5():
     return builtin("wittext5", 5)
+
+
+# (builtin, characteristic, index or coords of a designated extremal element)
+SIMPLE_CASES = [
+    ("sl2", 5, (1, 0, 0)),
+    ("sl2", 7, (1, 0, 0)),
+    ("sl3", 5, None),
+    ("sl3", 7, None),
+    ("sl4", 5, None),
+    ("sl4", 7, None),
+    ("witt5", 5, "witt_x"),
+]
+
+
+def designated(name, p):
+    l = builtin(name, p)
+    if name.startswith("witt"):
+        return l, (0, 0, l.field.of(-1)) + (0,) * (l.dim - 3)
+    if name == "sl2":
+        return l, l.basis_vector(0)
+    if name == "sl3":
+        return l, l.basis_vector(1)   # E13
+    return l, l.basis_vector(2)       # E14 in sl4
+
+
+def ad_chain(l, z, x):
+    """The chain (x, ad_z x, ..., ad_z^4 x) that ``exp_ad`` sums, after
+    checking that ad_z^5 x = 0."""
+    adz = l.ad(z)
+    chain = [l.check_vector(x)]
+    for _ in range(4):
+        chain.append(adz.apply(chain[-1]))
+    assert vec_is_zero(adz.apply(chain[-1])), "ad_z is not nilpotent of order 5 on x"
+    return tuple(chain)
 
 
 @pytest.fixture

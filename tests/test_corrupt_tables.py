@@ -10,13 +10,16 @@ from collections import Counter
 
 import pytest
 
-from lieext import (Field, HypothesisError, LieAlgebra, builtin, classify_element, complete_sl2,
-                    find_witness, h_grading, quadraticity_check, to_json)
+from lieext import (Field, HypothesisError, LieAlgebra, LieextError, builtin, classify,
+                    classify_element, complete_sl2, extremal_from_L1, find_witness, h_grading,
+                    quadraticity_check, to_json)
 from lieext.algebra import _sl
 from lieext.cli import EXIT_CONTRADICTION, EXIT_INTERNAL, EXIT_OK, run
 from lieext.extremal import EXTREMAL
+from lieext.linalg import vec_combine, vec_is_zero
+from lieext.sl2 import require_good_characteristic
 
-from conftest import on_random_basis
+from conftest import SIMPLE_CASES, designated as designated_simple, on_random_basis
 
 # name, p, designated extremal x
 ALGEBRAS = [
@@ -126,3 +129,53 @@ def test_extremal_y_settles_quadraticity_as_the_product_does(tmp_path, capsys):
     # both ways through the shortcut, and products that fail, are exercised
     assert seen[True, True] and seen[False, True] and seen[False, False], seen
     assert not seen[True, False]
+
+
+def exp_ad_reference(l, adz, x):
+    """exp(ad_z) x computed from ad(z) itself: ad_z applied four times to x,
+    and a fifth time to check that it vanishes."""
+    require_good_characteristic(l)
+    x = l.check_vector(x)
+    f = l.field
+    terms = [x]
+    for _ in range(4):
+        terms.append(adz.apply(terms[-1]))
+    if not vec_is_zero(adz.apply(terms[-1])):
+        raise HypothesisError("ad_z is not nilpotent of order 5 on x")
+    return vec_combine(f, [f.one, f.one] + [f.inv(f.of(k)) for k in (2, 6, 24)], terms)
+
+
+def outcome(run_certificate):
+    try:
+        return run_certificate()
+    except LieextError as err:
+        return type(err), str(err)
+
+
+def test_certificates_exponentiate_as_the_reference_does(monkeypatch):
+    """A certificate sums the chain it checked, relying on rel4 and rel12 for
+    ad_z^5(x) = 0.  With exp_ad swapped for the reference, which applies
+    ad(z) itself and checks the fifth power, every certificate built on the
+    designated triples, the dense bases and the perturbed tables comes out
+    the same, or fails with the same first error."""
+    cases = [(f"{name}/{p}", *designated_simple(name, p)) for name, p, _ in SIMPLE_CASES]
+    seen = Counter()
+    for label, l, x in cases + list(quadraticity_cases()):
+        st = classify_element(l, x)
+        if st.kind != EXTREMAL:
+            continue
+        try:
+            t, _ = complete_sl2(l, st, find_witness(l, st.functional))
+            g = h_grading(l, t)
+        except LieextError:
+            continue
+        for z in g.components[1].basis:
+            got = outcome(lambda: extremal_from_L1(l, t, g, z))
+            with monkeypatch.context() as m:
+                m.setattr(classify, "exp_ad",
+                          lambda alg, chain: exp_ad_reference(alg, alg.ad(z), chain[0]))
+                want = outcome(lambda: extremal_from_L1(l, t, g, z))
+            assert got == want, label
+            seen[isinstance(got, classify.ExtremalGenCertificate)] += 1
+    # certificates that pass and certificates that fail are both exercised
+    assert seen[True] and seen[False], seen

@@ -17,7 +17,7 @@ from lieext.classify import exp_ad
 from lieext.extremal import ScanResult, apply_functional
 from lieext.linalg import Matrix, kernel, solve, vec_is_zero, vec_scale
 
-from conftest import on_random_basis, rand_vec
+from conftest import ad_chain, on_random_basis, rand_vec
 
 
 def test_witt5_seed_element_is_extremal(witt5):
@@ -185,14 +185,12 @@ def test_exhaustive_witt5_extremal_plane_is_an_exp_orbit(witt5):
     # exp(ad of t*z^3 Dz) maps z^2 Dz onto z^2 Dz - t*z^4 Dz, which together
     # with scalars sweeps out every extremal non-sandwich vector.
     f = witt5.field
-    from lieext import exp_ad
-
     scan = exhaustive_scan(witt5)
     orbit = set()
     d2 = witt5.basis_vector(2)
     for t in range(5):
         z = vec_scale(f, f.of(t), witt5.basis_vector(3))
-        image = exp_ad(witt5, witt5.ad(z), d2)
+        image = exp_ad(witt5, ad_chain(witt5, z, d2))
         for lam in range(1, 5):
             orbit.add(vec_scale(f, f.of(lam), image))
     assert orbit == set(scan.extremal)
@@ -271,7 +269,7 @@ def _sl3_conjugates():
     # extremal vectors, enough to pin g down.
     l = builtin("sl3", 7)
     roots = [l.basis_vector(i) for i in range(6)]
-    vectors = {exp_ad(l, l.ad(vec_scale(l.field, l.field.of(t), z)), x)
+    vectors = {exp_ad(l, ad_chain(l, vec_scale(l.field, l.field.of(t), z), x))
                for x in roots for z in roots for t in (1, 2)}
     assert len(vectors) == 39
     return l, sorted(vectors)

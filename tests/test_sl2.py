@@ -24,29 +24,7 @@ from lieext.linalg import (eigenspace, kernel, rref, solve, vec_add, vec_combine
                            vec_scale)
 from lieext.sl2 import LABELS, Sl2Triple
 
-from conftest import on_random_basis, rand_vec, restrict_operator
-
-# (builtin, characteristic, index or coords of a designated extremal element)
-SIMPLE_CASES = [
-    ("sl2", 5, (1, 0, 0)),
-    ("sl2", 7, (1, 0, 0)),
-    ("sl3", 5, None),
-    ("sl3", 7, None),
-    ("sl4", 5, None),
-    ("sl4", 7, None),
-    ("witt5", 5, "witt_x"),
-]
-
-
-def designated(name, p):
-    l = builtin(name, p)
-    if name.startswith("witt"):
-        return l, (0, 0, l.field.of(-1)) + (0,) * (l.dim - 3)
-    if name == "sl2":
-        return l, l.basis_vector(0)
-    if name == "sl3":
-        return l, l.basis_vector(1)   # E13
-    return l, l.basis_vector(2)       # E14 in sl4
+from conftest import SIMPLE_CASES, designated, on_random_basis, rand_vec, restrict_operator
 
 
 def witnesses(l, x, functional, count, seed=991):
