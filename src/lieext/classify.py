@@ -295,43 +295,73 @@ class ClassificationReport(NamedTuple):
         return doc
 
 
+def _certify_simple(l: LieAlgebra):
+    """(mode, detail) once meataxe_simple, or the enumeration where it gives
+    up, proves ``l`` simple; HypothesisError if it is not."""
+    try:
+        verdict = meataxe_simple(l)
+    except CapabilityError:
+        verdict = is_simple(l)
+    if not verdict.simple:
+        raise HypothesisError(f"the algebra is not simple ({verdict.detail})")
+    return "certified", verdict.detail
+
+
 def classify_theorem_main(l: LieAlgebra, x, assume_simple: bool = False) -> ClassificationReport:
     """Full pipeline from one extremal non-sandwich element to a verdict.
 
     Simplicity is certified where decidable; over the rationals or large
     fields the caller must opt in with ``assume_simple``, which is recorded
-    in the report.
+    in the report.  Only a 5-dimensional algebra over F5 can be W(1;1), and
+    there the certify step waits for ``witt_recognize``: a recognized basis
+    of W certifies simplicity by its isomorphism onto the simple witt5.
+    Otherwise the step runs before anything later can fail, and before an
+    error from the stages it waited for is re-raised, so every input keeps
+    the first error that certifying first gives.
     """
     require_good_characteristic(l)
     x = l.check_vector(x)
     status = require_extremal(l, x)
 
     if assume_simple:
-        simplicity_mode, simplicity_detail = "assumed", "simplicity assumed by caller"
+        simplicity = "assumed", "simplicity assumed by caller"
+    elif l.field.p == 5 and l.dim == 5:
+        simplicity = None
     else:
-        try:
-            verdict = meataxe_simple(l)
-        except CapabilityError:
-            verdict = is_simple(l)
-        if not verdict.simple:
-            raise HypothesisError(f"the algebra is not simple ({verdict.detail})")
-        simplicity_mode, simplicity_detail = "certified", verdict.detail
+        simplicity = _certify_simple(l)
 
-    w = find_witness(l, status.functional)
-    triple, _ = complete_sl2(l, status, w)
-    grading = h_grading(l, triple)
-    y_status = classify_element(l, triple.y)
-    # an extremal y has [y, [y, L]] in F*y by bilinearity alone, no Jacobi identity
-    quad = y_status.functional is not None or quadraticity_check(l, triple)
-    if not quad:
-        raise ContradictionError("the nilnegative member does not act quadratically modulo the triple")
-    outcome = dichotomy(l, triple, grading, y_status)
+    iso = None
+    try:
+        w = find_witness(l, status.functional)
+        triple, _ = complete_sl2(l, status, w)
+        grading = h_grading(l, triple)
+        y_status = classify_element(l, triple.y)
+        # an extremal y has [y, [y, L]] in F*y by bilinearity alone, no Jacobi identity
+        quad = y_status.functional is not None or quadraticity_check(l, triple)
+        if not quad:
+            raise ContradictionError(
+                "the nilnegative member does not act quadratically modulo the triple")
+        outcome = dichotomy(l, triple, grading, y_status)
+        if outcome.branch == "exceptional":
+            iso = witt_recognize(l, triple, outcome.v)
+    except Exception:
+        if simplicity is None:
+            _certify_simple(l)      # its error, if any, comes first
+        raise
+    if simplicity is None:
+        if iso is not None and iso.target == "W" and iso.span_equals_algebra:
+            # the checked rows are L's table in the basis (x, y, h, v, [v,y]),
+            # so the basis map onto WITT_IMAGES is an isomorphism onto witt5
+            simplicity = ("certified", "the recognized basis satisfies the "
+                          "multiplication table of the simple Witt algebra W(1;1)")
+        else:
+            simplicity = _certify_simple(l)
 
     common = dict(
         field_characteristic=l.field.p,
         dim=l.dim,
-        simplicity_mode=simplicity_mode,
-        simplicity_detail=simplicity_detail,
+        simplicity_mode=simplicity[0],
+        simplicity_detail=simplicity[1],
         x=x,
         witness=w,
         triple=triple,
@@ -339,8 +369,7 @@ def classify_theorem_main(l: LieAlgebra, x, assume_simple: bool = False) -> Clas
         quadratic_on_quotient=quad,
         note=outcome.note,
     )
-    if outcome.branch == "exceptional":
-        iso = witt_recognize(l, triple, outcome.v)
+    if iso is not None:
         if not assume_simple and not iso.span_equals_algebra:
             raise ContradictionError(
                 "the recognized subalgebra is proper although the algebra is simple")

@@ -310,7 +310,9 @@ def _roots(f: Field, c) -> list:
     has one linear factor per root, and g is split by gcd(g, (x + a)^((p-1)/2) - 1)
     for a = 0, 1, ...: for roots r != s, r + a and s + a differ in quadratic
     character for (p - 1)/2 values of a, so some a splits g."""
-    if f.p <= len(c):  # trying every element costs no more than one product
+    # trying every element takes p evaluations; x^p mod c alone takes about
+    # 2 log2(p) products of degree len(c), each worth about len(c) evaluations
+    if f.p <= 2 * f.p.bit_length() * len(c):
         return [x for x in f.elements() if not _poly_eval(f, c, x)]
     xp = _poly_powmod(f, [f.zero, f.one], f.p, c) + [f.zero, f.zero]
     xp[1] = f.sub(xp[1], f.one)

@@ -9,6 +9,7 @@ from lieext import (
     Field,
     HypothesisError,
     LieAlgebra,
+    Subspace,
     builtin,
     classify_element,
     classify_theorem_main,
@@ -17,6 +18,7 @@ from lieext import (
     extremal_from_L1,
     find_witness,
     h_grading,
+    meataxe_simple,
     subalgebra_closure,
     complete_sl2,
     witt_recognize,
@@ -335,6 +337,19 @@ def test_witt_images_preserve_the_model_bracket(name):
     assert model_failures(name, WITT_IMAGES) == []
 
 
+def test_witt5_is_simple():
+    # the first premise of the isomorphism certificate classify gives witt5
+    verdict = meataxe_simple(builtin("witt5", 5))
+    assert verdict.simple, verdict.detail
+
+
+def test_witt_images_are_a_basis_of_witt5():
+    # the second premise: the basis map onto WITT_IMAGES[:5] is a bijection
+    model = builtin("witt5", 5)
+    images = [[img.get(k, 0) for k in range(model.dim)] for img in WITT_IMAGES[:5]]
+    assert Subspace.span(model.field, model.dim, images).dim == 5
+
+
 @pytest.mark.parametrize("i,j", [(0, 1), (1, 2), (2, 3), (3, 4)])
 def test_witt_recognize_rejects_swapped_images(i, j):
     # the model check that witt_recognize's basis map rests on catches a swap
@@ -440,18 +455,35 @@ def test_classify_witt5(witt5):
     assert rep.simplicity_mode == "certified"
 
 
-def test_certified_classify_falls_back_to_is_simple(witt5, monkeypatch):
+@pytest.mark.parametrize("name, calls", [("witt5", 0), ("sl3", 1)])
+def test_certified_classify_skips_the_meataxe_only_on_a_recognized_witt_basis(name, calls, monkeypatch):
+    # witt5 is certified simple by its recognized basis, sl3/F5 by the MeatAxe
+    l = builtin(name, 5)
+    x = (0, 0, 4, 0, 0) if name == "witt5" else l.basis_vector(1)
+    seen = []
+    meataxe = classify.meataxe_simple
+    monkeypatch.setattr(classify, "meataxe_simple", lambda alg: seen.append(alg) or meataxe(alg))
+    rep = classify_theorem_main(l, x)
+    assert rep.simplicity_mode == "certified"
+    assert len(seen) == calls
+    assert (rep.simplicity_detail == "the recognized basis satisfies the multiplication "
+            "table of the simple Witt algebra W(1;1)") == (name == "witt5")
+
+
+def test_certified_classify_falls_back_to_is_simple(monkeypatch):
     # with no kernel line budget meataxe_simple gives up, and the pipeline
-    # certifies simplicity by enumeration instead
+    # certifies simplicity by enumeration instead, over sl2/F5's 31 lines
+    # (witt5 is certified by its isomorphism and never reaches the MeatAxe)
     from lieext import algebra
 
+    l = builtin("sl2", 5)
     monkeypatch.setattr(algebra, "MEATAXE_LINE_BUDGET", 0)
     with pytest.raises(CapabilityError, match="small enough kernel"):
-        algebra.meataxe_simple(witt5)
-    rep = classify_theorem_main(witt5, (0, 0, 4, 0, 0))
+        algebra.meataxe_simple(l)
+    rep = classify_theorem_main(l, l.basis_vector(0))
     assert rep.simplicity_mode == "certified"
     assert rep.simplicity_detail == "every projective point generates"
-    assert rep.verdict == VERDICT_WITT
+    assert rep.verdict == VERDICT_GENERATED
 
 
 def test_classify_sl3_regular_at_both_characteristics():

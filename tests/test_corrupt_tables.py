@@ -10,12 +10,13 @@ from collections import Counter
 
 import pytest
 
-from lieext import (Field, HypothesisError, LieAlgebra, LieextError, builtin, classify,
-                    classify_element, complete_sl2, extremal_from_L1, find_witness, h_grading,
+from lieext import (CapabilityError, Field, HypothesisError, LieAlgebra, LieextError, builtin,
+                    classify, classify_element, classify_theorem_main, complete_sl2,
+                    extremal_from_L1, find_witness, h_grading, is_simple, meataxe_simple,
                     quadraticity_check, to_json)
 from lieext.algebra import _sl
 from lieext.cli import EXIT_CONTRADICTION, EXIT_INTERNAL, EXIT_OK, run
-from lieext.extremal import EXTREMAL
+from lieext.extremal import EXTREMAL, require_extremal
 from lieext.linalg import vec_combine, vec_is_zero
 from lieext.sl2 import require_good_characteristic
 
@@ -179,3 +180,84 @@ def test_certificates_exponentiate_as_the_reference_does(monkeypatch):
             seen[isinstance(got, classify.ExtremalGenCertificate)] += 1
     # certificates that pass and certificates that fail are both exercised
     assert seen[True] and seen[False], seen
+
+
+def certifying_first(l, x, assume_simple):
+    """Certified classify_theorem_main with the certify step before the
+    pipeline, the order classify keeps for every input that cannot be
+    W(1;1): x's checks, then meataxe_simple or the enumeration where it gives
+    up, then the pipeline with simplicity assumed."""
+    assert not assume_simple
+    require_good_characteristic(l)
+    require_extremal(l, l.check_vector(x))
+    try:
+        verdict = meataxe_simple(l)
+    except CapabilityError:
+        verdict = is_simple(l)
+    if not verdict.simple:
+        raise HypothesisError(f"the algebra is not simple ({verdict.detail})")
+    return classify_theorem_main(l, x, assume_simple=True)
+
+
+def sl2_on_its_natural_module():
+    """sl2 ⋉ V(1) over F5 on e, f, h, v1, v2: perfect with zero centre, and
+    not simple, since V(1) is an ideal."""
+    return LieAlgebra(Field(5), ["e", "f", "h", "v1", "v2"], {
+        (0, 1): [(2, 1)], (0, 2): [(0, -2)], (1, 2): [(1, 2)],
+        (0, 4): [(3, 1)], (1, 3): [(4, 1)], (2, 3): [(3, 1)], (2, 4): [(4, -1)],
+    })
+
+
+def precedence_cases():
+    """(label, algebra, x) over F5 in dimension 5, where the certify step
+    waits for witt_recognize: the perturbed witt5 tables of the tests above,
+    drawn from the same seed, witt5 on three random bases, and sl2 ⋉ V(1)
+    with perturbed copies of it."""
+    l = builtin("witt5", 5)
+    x = designated(l, None)
+    rng = random.Random("witt5/5")
+    for n in range(PERTURBATIONS):
+        yield f"witt5 corrupt {n}", perturbed(l, rng), x
+    for seed in (1, 2, 3):
+        dense, old_basis = on_random_basis(l, random.Random(seed))
+        yield f"witt5 basis {seed}", dense, vec_combine(l.field, x, old_basis)
+    l, e = sl2_on_its_natural_module(), (1, 0, 0, 0, 0)
+    yield "sl2 ⋉ V(1)", l, e
+    rng = random.Random("sl2 ⋉ V(1)")
+    for n in range(PERTURBATIONS):
+        yield f"sl2 ⋉ V(1) corrupt {n}", perturbed(l, rng), e
+
+
+def test_certified_classify_fails_as_certifying_first_does(tmp_path, capsys, monkeypatch):
+    """Where the Witt isomorphism may certify simplicity, classify runs the
+    certify step after the sl2 stage, and before anything else that can fail.
+    Every exit code and error message is the one certifying first gives, and
+    a report differs from it only in how simplicity was shown."""
+    from lieext import cli
+
+    seen = Counter()
+    for label, l, x in precedence_cases():
+        path = tmp_path / "case.json"
+        path.write_text(to_json(l))
+        argv = ["classify", str(path), "--x", ",".join(map(l.field.format, x))]
+        code = run(argv)
+        out, err = capsys.readouterr()
+        with monkeypatch.context() as m:
+            m.setattr(cli, "classify_theorem_main", certifying_first)
+            want_code = run(argv)
+            want_out, want_err = capsys.readouterr()
+        assert (code, err) == (want_code, want_err), label
+        if code == EXIT_OK:
+            doc, want = json.loads(out), json.loads(want_out)
+            assert doc["hypotheses"].pop("simplicity")["mode"] == "certified", label
+            want["hypotheses"].pop("simplicity")
+            assert doc == want, label
+            seen["report"] += 1
+        elif "not simple" in err:
+            # the pipeline alone passes, or fails with an error the certify step preempts
+            seen["not simple, pipeline " + ("passes" if run(argv + ["--assume-simple"]) == EXIT_OK
+                                           else "fails")] += 1
+            capsys.readouterr()
+        else:
+            seen["pipeline error"] += 1
+    assert len(seen) == 4, seen

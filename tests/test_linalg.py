@@ -186,6 +186,42 @@ def eigenvalues(a):
     return _roots(a.field, _charpoly(a)[0])
 
 
+def roots_reference(f, c):
+    """The roots of ``c`` in GF(p) found by evaluating it at every element."""
+    return [r for r in f.elements()
+            if not sum(ci * pow(r, i, f.p) for i, ci in enumerate(c)) % f.p]
+
+
+@pytest.mark.parametrize("p", [31, 101, 251, 1009, 2**31 - 1])
+def test_roots_agree_on_both_sides_of_the_enumeration_crossover(p, monkeypatch):
+    # _roots tries every element while p <= 2 * bitlen(p) * len(c) and
+    # otherwise splits gcd(c, x^p - x); both give the evaluated roots, on
+    # monic polynomials with planted (possibly repeated) roots and a random
+    # cofactor
+    from lieext import linalg
+
+    f, rng = Field(p), random.Random(p)
+    crossover = -(-p // (2 * p.bit_length()))     # the least len(c) that enumerates
+    powmods = []
+    powmod = linalg._poly_powmod
+    monkeypatch.setattr(linalg, "_poly_powmod", lambda *a: powmods.append(a) or powmod(*a))
+    lengths = [crossover - 2, crossover - 1, crossover, crossover + 1] if p < 2**20 else [5, 9]
+    for length in lengths:
+        for _ in range(6):
+            planted = [f.random(rng) for _ in range(rng.randrange(length))]
+            c = [f.random(rng) for _ in range(length - len(planted) - 1)] + [f.one]
+            for r in planted:
+                c = _poly_mul(f, c, [f.neg(r), f.one])
+            del powmods[:]
+            roots = _roots(f, c)
+            if p < 2**20:
+                assert roots == roots_reference(f, c)
+            else:   # too many elements to evaluate at
+                assert set(planted) <= set(roots) and roots == sorted(set(roots))
+                assert all(not linalg._poly_eval(f, c, r) for r in roots)
+            assert bool(powmods) == (length < crossover), (p, length)
+
+
 def test_charpoly_of_conjugated_companion_matrix(rng):
     # the companion matrix of a monic c has characteristic polynomial c
     for f in (Field(2), Field(7), Field(101)):
