@@ -12,9 +12,11 @@ from .algebra import LieAlgebra, format_vector, is_simple, meataxe_simple, subal
 from .errors import CapabilityError, ContradictionError, HypothesisError
 from .extremal import EXTREMAL, _functional, _kind, classify_element, require_extremal
 from .fields import Field
-from .linalg import _span, vec_add, vec_combine, vec_is_zero, vec_ratio, vec_scale, vec_sub
+from .linalg import (_span, eigenspace, vec_add, vec_combine, vec_is_zero, vec_ratio, vec_scale,
+                     vec_sub, zero_vec)
 from .sl2 import (
     _Relations,
+    _exceptional_v,
     HGrading,
     Sl2Triple,
     dichotomy,
@@ -179,7 +181,9 @@ WITT_IMAGES = ({2: -1}, {0: 1}, {1: 2}, {4: 2}, {3: 2}, {5: 1})
 
 def _rule_value(f: Field, rhs: dict, vecs):
     """The right-hand side sum c * vecs[k] of one row of WITT_RULES."""
-    return vec_combine(f, [f.of(rhs.get(k, 0)) for k in range(len(vecs))], vecs)
+    if not rhs:
+        return zero_vec(f, len(vecs[0]))
+    return vec_combine(f, [f.of(c) for c in rhs.values()], [vecs[k] for k in rhs])
 
 
 class WittIsoReport(NamedTuple):
@@ -202,15 +206,20 @@ def witt_recognize(l: LieAlgebra, t: Sl2Triple, v) -> WittIsoReport:
     v = l.check_vector(v)
     f = l.field
     x, y, h = t.x, t.y, t.h
-    yyv = l.bracket(y, l.bracket(y, v))
+    # a bracket with x, y or h on the left is ad(x), ad(y) or ad(h) applied;
+    # [v,y] = -ad(y)v by antisymmetry, which holds on any stored table
+    acts = [l.ad(u).apply for u in (x, y, h)]
+    yv = acts[1](v)
+    yyv = acts[1](yv)
     if yyv != tuple(x):
         raise HypothesisError("v does not satisfy [y, [y, v]] = x")
-    vy = l.bracket(v, y)
+    vy = vec_scale(f, f.neg(f.one), yv)
     vvy = l.bracket(v, vy)
     spanning = (x, y, h, v, vy, vvy)
     check = _Relations(HypothesisError, "multiplication rule")
     for name, a, b, rhs in WITT_RULES:
-        check(name, l.bracket(spanning[a], spanning[b]) == _rule_value(f, rhs, spanning))
+        product = acts[a](spanning[b]) if a < 3 else l.bracket(spanning[a], spanning[b])
+        check(name, product == _rule_value(f, rhs, spanning))
     check("[y,[y,v]]=x", yyv == tuple(x))
     extended = not vec_is_zero(vvy)
     target_name = "W_tilde" if extended else "W"
@@ -307,17 +316,59 @@ def _certify_simple(l: LieAlgebra):
     return "certified", verdict.detail
 
 
+WITT_CERTIFIED = ("the recognized basis satisfies the multiplication table of the "
+                  "simple Witt algebra W(1;1)")
+
+
+def _read_witt(l: LieAlgebra, x, status) -> "ClassificationReport | None":
+    """The certified report of a 5-dimensional algebra over F5 read as
+    W(1;1) right after the sl2 triple, or None when the reading fails or
+    finds anything but a basis of W, and the full pipeline must run.
+
+    Only the label -1 component is computed, as ``h_grading`` computes it,
+    and v is the exceptional branch's ``dichotomy`` takes.  Once
+    ``witt_recognize`` has checked its rows, they are L's whole table in the
+    basis (x, y, h, v, [v,y]), so bilinearity and antisymmetry alone give
+    what the pipeline would compute: -ad h = diag(-2, 2, 0, -1, 1) there,
+    distinct mod 5, so the grading's components are the lines through x,
+    [v,y], h and y beside L_-1; [[v,y], y] = x is nonzero, so the grading
+    is not an integer one; and (ad y)^2 maps the basis into span(x, y, h),
+    so y acts quadratically modulo the triple."""
+    f = l.field
+    try:
+        w = find_witness(l, status.functional)
+        triple, _ = complete_sl2(l, status, w)
+        lm1 = eigenspace(l.ad(triple.h), f.of(1))
+        v = _exceptional_v(l, triple, lm1)
+        iso = None if v is None else witt_recognize(l, triple, v)
+    except Exception:
+        return None
+    if iso is None or iso.target != "W" or not iso.span_equals_algebra:
+        return None
+    line = lambda vec: _span(f, l.dim, [vec])
+    _, y, h, _, vy, _ = iso.spanning
+    components = {-2: line(x), -1: lm1, 0: line(h), 1: line(vy), 2: line(y)}
+    return ClassificationReport(
+        verdict=VERDICT_WITT, field_characteristic=f.p, dim=l.dim,
+        simplicity_mode="certified", simplicity_detail=WITT_CERTIFIED, x=x, witness=w,
+        triple=triple, grading=HGrading(components, False), quadratic_on_quotient=True,
+        note="", iso=iso)
+
+
 def classify_theorem_main(l: LieAlgebra, x, assume_simple: bool = False) -> ClassificationReport:
     """Full pipeline from one extremal non-sandwich element to a verdict.
 
     Simplicity is certified where decidable; over the rationals or large
     fields the caller must opt in with ``assume_simple``, which is recorded
     in the report.  Only a 5-dimensional algebra over F5 can be W(1;1), and
-    there the certify step waits for ``witt_recognize``: a recognized basis
-    of W certifies simplicity by its isomorphism onto the simple witt5.
-    Otherwise the step runs before anything later can fail, and before an
-    error from the stages it waited for is re-raised, so every input keeps
-    the first error that certifying first gives.
+    there, when certifying, ``_read_witt`` first reads the algebra as W
+    right after the sl2 triple; a recognized basis of W certifies
+    simplicity by its isomorphism onto the simple witt5.  Where the reading
+    gives no report, the full pipeline runs, and the certify step waits for
+    ``witt_recognize`` there too.  Otherwise the step runs before anything
+    later can fail, and before an error from the stages it waited for is
+    re-raised, so every input keeps the first error that certifying first
+    gives.
     """
     require_good_characteristic(l)
     x = l.check_vector(x)
@@ -326,6 +377,9 @@ def classify_theorem_main(l: LieAlgebra, x, assume_simple: bool = False) -> Clas
     if assume_simple:
         simplicity = "assumed", "simplicity assumed by caller"
     elif l.field.p == 5 and l.dim == 5:
+        report = _read_witt(l, x, status)
+        if report is not None:
+            return report
         simplicity = None
     else:
         simplicity = _certify_simple(l)
@@ -352,8 +406,7 @@ def classify_theorem_main(l: LieAlgebra, x, assume_simple: bool = False) -> Clas
         if iso is not None and iso.target == "W" and iso.span_equals_algebra:
             # the checked rows are L's table in the basis (x, y, h, v, [v,y]),
             # so the basis map onto WITT_IMAGES is an isomorphism onto witt5
-            simplicity = ("certified", "the recognized basis satisfies the "
-                          "multiplication table of the simple Witt algebra W(1;1)")
+            simplicity = "certified", WITT_CERTIFIED
         else:
             simplicity = _certify_simple(l)
 

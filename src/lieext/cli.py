@@ -64,10 +64,57 @@ def _load_algebra(path: str):
     return from_json(_decode(data)), hashlib.sha256(data).hexdigest()
 
 
+class _Unencodable(Exception):
+    pass
+
+
+_quote = json.encoder.encode_basestring_ascii
+_LEAVES = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+           type(None): {None: "null"}.__getitem__}
+
+
+def _indented(o, indent: str) -> str:
+    """A dict or list as ``json.dumps(o, indent=2)`` writes it at the depth
+    whose newline and indentation are ``indent``; _Unencodable at any value
+    that is not a dict with str keys, a list, a str, an int, a bool or None."""
+    t = type(o)
+    if t is not dict and t is not list:
+        raise _Unencodable
+    if not o:
+        return "{}" if t is dict else "[]"
+    inner = indent + "  "
+    out = []
+    if t is list:
+        for v in o:
+            leaf = _LEAVES.get(type(v))
+            out.append(leaf(v) if leaf is not None else _indented(v, inner))
+        return "[" + inner + ("," + inner).join(out) + indent + "]"
+    for k, v in o.items():
+        if type(k) is not str:
+            raise _Unencodable
+        leaf = _LEAVES.get(type(v))
+        out.append(_quote(k) + ": " + (leaf(v) if leaf is not None else _indented(v, inner)))
+    return "{" + inner + ("," + inner).join(out) + indent + "}"
+
+
+def _dumps(doc) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, written through the C
+    string encoder, since the indented ``json.dumps`` runs the pure-Python
+    encoder; ``json.dumps`` itself for a document holding anything but
+    dicts with str keys, lists, str, int, bool and None."""
+    leaf = _LEAVES.get(type(doc))
+    if leaf is not None:
+        return leaf(doc)
+    try:
+        return _indented(doc, "\n")
+    except _Unencodable:
+        return json.dumps(doc, indent=2)
+
+
 def _emit(doc: dict, digest: str) -> None:
     doc["tool_version"] = __version__
     doc["input_sha256"] = digest
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    sys.stdout.write(_dumps(doc) + "\n")
 
 
 @functools.cache

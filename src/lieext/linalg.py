@@ -195,19 +195,31 @@ def solve(a: Matrix, b):
 
 
 def kernel(a: Matrix) -> "Subspace":
-    """Null space of ``a`` as a canonical subspace of F^cols."""
-    f = a.field
-    ech, rank, pivots = rref(a)
-    pivot_set = set(pivots)
-    free = [c for c in range(a.cols) if c not in pivot_set]
-    basis = []
-    for c in free:
-        v = [f.zero] * a.cols
-        v[c] = f.one
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(ech.data[r][c])
-        basis.append(tuple(v))
-    return _span(f, a.cols, basis)
+    """Null space of ``a`` as a canonical subspace of F^cols.
+
+    The rows are eliminated with their columns reversed.  Reversed, the
+    vector of a free column c has a one at c and its other entries at pivot
+    columns before c; mapped back, those entries come after c, and no other
+    such vector has an entry at c.  So the vectors, taken by their free
+    columns in increasing order, are the kernel's reduced echelon basis."""
+    f, n = a.field, a.cols
+    g = GrowingSpan(f, n)
+    for row in a.data:
+        g.insert(row[::-1])
+    ech = g.to_subspace()
+    pivot_set = set(ech.pivots)
+    basis, pivots = [], []
+    for c in range(n - 1, -1, -1):
+        if c in pivot_set:
+            continue
+        v = [f.zero] * n
+        v[n - 1 - c] = f.one
+        for row, pc in zip(ech.basis, ech.pivots):
+            if row[c]:
+                v[n - 1 - pc] = f.neg(row[c])
+        basis.append(v)
+        pivots.append(n - 1 - c)
+    return Subspace(f, n, basis, pivots)
 
 
 def eigenspace(a: Matrix, lam) -> "Subspace":
@@ -461,10 +473,26 @@ class GrowingSpan:
         """The reduced echelon basis: from the last pivot back, each row is
         reduced against the rows after it, which are reduced already."""
         f, n = self.field, self.ambient
-        s = Subspace(f, n, (), ())
-        for c in sorted(self.rows, reverse=True):
-            s = Subspace(f, n, (s.reduce(self.rows[c]),) + s.basis, (c,) + s.pivots)
-        return s
+        pivots = sorted(self.rows)
+        basis = [None] * len(pivots)
+        for r in range(len(pivots) - 1, -1, -1):
+            basis[r] = _reduce(f, n, self.rows[pivots[r]], basis[r + 1:], pivots[r + 1:])
+        return Subspace(f, n, basis, pivots)
+
+
+def _reduce(field: Field, ambient: int, vec, basis, pivots) -> tuple:
+    """Residual of ``vec`` after eliminating against reduced echelon rows
+    ``basis`` with the given pivot columns."""
+    v = list(vec)
+    for row, p in zip(basis, pivots):
+        c = v[p]
+        if c:
+            c = field.reduce_scalar(c)
+            if c:
+                for i in range(p, ambient):
+                    if row[i]:
+                        v[i] -= c * row[i]
+    return field.reduce(v)
 
 
 def _span(field: Field, ambient: int, vectors) -> "Subspace":
@@ -520,17 +548,7 @@ class Subspace:
         """Residual of ``vec`` after eliminating against the echelon basis."""
         if len(vec) != self.ambient:
             raise ShapeError(f"vector of length {len(vec)} in ambient dimension {self.ambient}")
-        f = self.field
-        v = list(vec)
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if c:
-                c = f.reduce_scalar(c)
-                if c:
-                    for i in range(p, self.ambient):
-                        if row[i]:
-                            v[i] -= c * row[i]
-        return f.reduce(v)
+        return _reduce(self.field, self.ambient, vec, self.basis, self.pivots)
 
     def contains(self, vec) -> bool:
         return vec_is_zero(self.reduce(vec))

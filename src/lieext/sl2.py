@@ -201,6 +201,28 @@ GRADING_MAP_NOTE = (
     "with the grading and is treated as a typo")
 
 
+def _exceptional_v(l: LieAlgebra, t: Sl2Triple, lm1):
+    """The exceptional branch: v in ``lm1`` with [y, [y, v]] = x, or None
+    when [y, [y, b]] = 0 for the basis b of ``lm1``."""
+    f = l.field
+    ady = l.ad(t.y).apply
+    images = [ady(ady(b)) for b in lm1.basis]
+    if all(map(vec_is_zero, images)):
+        return None
+    if f.p != 5:
+        raise ContradictionError(
+            "[y, [y, L_-1]] is nonzero in characteristic != 5; structure constants corrupt")
+    if _span(f, l.dim, images) != _span(f, l.dim, [t.x]):
+        raise ContradictionError("[y, [y, L_-1]] is not the line through x")
+    sol = solve(Matrix.from_columns(f, images), t.x)
+    if sol is None:
+        raise ContradictionError("x escaped the column space it was just seen in")
+    v = vec_combine(f, sol, lm1.basis)
+    if ady(ady(v)) != tuple(t.x):
+        raise ContradictionError("solver returned a non-solution")
+    return v
+
+
 def dichotomy(l: LieAlgebra, t: Sl2Triple, g: HGrading, y_status) -> DichotomyResult:
     """Either produce v in L_-1 with [y, [y, v]] = x (characteristic 5 only), or
     verify the regular outcome: y extremal, read off y's ``ExtremalStatus``, a
@@ -210,24 +232,10 @@ def dichotomy(l: LieAlgebra, t: Sl2Triple, g: HGrading, y_status) -> DichotomyRe
     f = l.field
     lm1 = g.components[-1]
     l1 = g.components[1]
-    y_lm1 = [l.bracket(t.y, b) for b in lm1.basis]
-    images = [l.bracket(t.y, c) for c in y_lm1]
-    target = _span(f, l.dim, images)
-    if target.dim > 0:
-        if f.p != 5:
-            raise ContradictionError(
-                "[y, [y, L_-1]] is nonzero in characteristic != 5; structure constants corrupt")
-        x_line = _span(f, l.dim, [t.x])
-        if target != x_line:
-            raise ContradictionError("[y, [y, L_-1]] is not the line through x")
-        a = Matrix.from_columns(f, images)
-        sol = solve(a, t.x)
-        if sol is None:
-            raise ContradictionError("x escaped the column space it was just seen in")
-        v = vec_combine(f, sol, lm1.basis)
-        if l.bracket(t.y, l.bracket(t.y, v)) != tuple(t.x):
-            raise ContradictionError("solver returned a non-solution")
+    v = _exceptional_v(l, t, lm1)
+    if v is not None:
         return DichotomyResult("exceptional", v)
+    y_lm1 = [l.bracket(t.y, b) for b in lm1.basis]
     check = _Relations(ContradictionError, "regular-branch verification")
     check("y_extremal", y_status.kind == EXTREMAL)
     check("x_maps_L1_onto_L-1",

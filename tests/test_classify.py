@@ -14,6 +14,7 @@ from lieext import (
     classify_element,
     classify_theorem_main,
     dichotomy,
+    exhaustive_scan,
     exp_ad,
     extremal_from_L1,
     find_witness,
@@ -413,25 +414,33 @@ def test_witt_recognize_phi_agrees_with_solve_reference(name):
 
 
 def test_witt_recognize_bracket_count(witt5, monkeypatch):
-    """19 brackets, all on the input: [y,[y,v]], [v,y], [v,[v,y]] and one
-    per row; no linear solve."""
+    """4 brackets, all on the input: [v,[v,y]] and the three rows whose left
+    operand is v or [v,y]; [y,[y,v]] and the twelve rows whose left operand
+    is x, y or h are 14 applies of their adjoints, and [v,y] = -ad(y)v; no
+    linear solve."""
     triple, v = witt_case(witt5, (0, 0, witt5.field.of(-1), 0, 0))
-    brackets, solves = [], []
-    bracket = LieAlgebra.bracket
+    brackets, applies, solves = [], [], []
+    bracket, apply = LieAlgebra.bracket, Matrix.apply
 
     def counting_bracket(self, u, w):
         brackets.append((self, u, w))
         return bracket(self, u, w)
+
+    def counting_apply(self, u):
+        applies.append(u)
+        return apply(self, u)
 
     def counting_solve(*args):
         solves.append(args)
         return solve(*args)
 
     monkeypatch.setattr(LieAlgebra, "bracket", counting_bracket)
+    monkeypatch.setattr(Matrix, "apply", counting_apply)
     monkeypatch.setattr(linalg, "solve", counting_solve)
     monkeypatch.setattr(classify, "solve", counting_solve, raising=False)
     witt_recognize(witt5, triple, v)
-    assert len(brackets) == 19 and all(alg is witt5 for alg, _, _ in brackets)
+    assert len(brackets) == 4 and all(alg is witt5 for alg, _, _ in brackets)
+    assert len(applies) == 14
     assert solves == []
 
 
@@ -720,6 +729,68 @@ def test_certified_pipeline_builds_each_adjoint_once(name, p, x_index, monkeypat
     assert all(m is first for first, *rest in built.values() for m in rest)
 
 
+# -- the Witt reading against the pipeline it shortcuts ----------------------------------
+
+def witt5_extremal_cases(seed):
+    """witt5, on the standard basis or a seeded random one, with its 20
+    extremal non-sandwich elements in that basis."""
+    l = builtin("witt5", 5)
+    xs = exhaustive_scan(l).extremal
+    assert len(xs) == 20
+    if seed is None:
+        return l, xs
+    dense, old_basis = on_random_basis(l, random.Random(seed))
+    return dense, [vec_combine(l.field, x, old_basis) for x in xs]
+
+
+@pytest.mark.parametrize("seed", [None, *range(1, 12)])
+@pytest.mark.parametrize("assume_simple", [False, True])
+def test_witt_reading_reports_what_the_pipeline_reports(seed, assume_simple, monkeypatch):
+    """A certified run on witt5 is read as W(1;1) right after the triple;
+    with the reading forced to give nothing, the full pipeline runs, and
+    every report is the same, grading components included."""
+    l, xs = witt5_extremal_cases(seed)
+    read = classify._read_witt
+    readings = []
+    monkeypatch.setattr(classify, "_read_witt",
+                        lambda *args: readings.append(read(*args)) or readings[-1])
+    got = [classify_theorem_main(l, x, assume_simple) for x in xs]
+    assert len(readings) == (0 if assume_simple else len(xs))
+    assert all(r is not None for r in readings)
+    monkeypatch.setattr(classify, "_read_witt", lambda *args: None)
+    want = [classify_theorem_main(l, x, assume_simple) for x in xs]
+    assert got == want
+    assert all(r.verdict == VERDICT_WITT and r.grading.components == w.grading.components
+               for r, w in zip(got, want))
+
+
+@pytest.mark.parametrize("seed", [None, 1])
+def test_certified_witt5_skips_the_grading_and_the_quadratic_action(seed, monkeypatch):
+    """The reading takes the grading and y's quadratic action off the checked
+    table: no h_grading, no quadraticity_check, no matrix product, and x is
+    the only element classified.  --assume-simple runs the pipeline."""
+    from lieext import extremal
+
+    l, xs = witt5_extremal_cases(seed)
+    calls = {"h_grading": 0, "quadraticity_check": 0, "classify_element": 0, "mul": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("h_grading", "quadraticity_check", "classify_element"):
+        monkeypatch.setattr(classify, name, counted(name, getattr(classify, name)))
+    monkeypatch.setattr(extremal, "classify_element",
+                        counted("classify_element", extremal.classify_element))
+    monkeypatch.setattr(Matrix, "mul", counted("mul", Matrix.mul))
+    assert classify_theorem_main(l, xs[0]).verdict == VERDICT_WITT
+    assert calls == {"h_grading": 0, "quadraticity_check": 0, "classify_element": 1, "mul": 0}
+    assert classify_theorem_main(l, xs[0], assume_simple=True).verdict == VERDICT_WITT
+    assert calls == {"h_grading": 1, "quadraticity_check": 1, "classify_element": 3, "mul": 1}
+
+
 @pytest.mark.parametrize("name, p, x_index", [
     ("sl4", 5, 2),          # E14: the regular branch
     ("witt5", 5, 2),        # z^2*Dz: the exceptional branch
@@ -727,7 +798,8 @@ def test_certified_pipeline_builds_each_adjoint_once(name, p, x_index, monkeypat
 def test_certified_pipeline_classifies_x_once_and_y_once(name, p, x_index, monkeypatch):
     """The sl2 stage takes the status require_extremal returned for x, and
     dichotomy the status classify took for y before quadraticity, so each is
-    classified once, on both branches."""
+    classified once; a certified witt5 run is read as W(1;1) right after the
+    triple, and classifies x only."""
     from lieext import extremal
 
     l = builtin(name, p)
@@ -741,14 +813,14 @@ def test_certified_pipeline_classifies_x_once_and_y_once(name, p, x_index, monke
     for module in (extremal, classify):
         monkeypatch.setattr(module, "classify_element", counting)
     report = classify_theorem_main(l, l.basis_vector(x_index))
-    assert operands == [report.x, report.triple.y]
+    assert operands == ([report.x] if name == "witt5" else [report.x, report.triple.y])
 
 
 @pytest.mark.parametrize("name, p, seed, assume_simple, products", [
     *[(name, p, seed, False, 0)
       for name, p in (("sl3", 7), ("sl4", 5), ("sl5", 7)) for seed in (None, 1)],
-    ("witt5", 5, None, False, 1),
-    ("witt5", 5, 1, False, 1),
+    ("witt5", 5, None, False, 0),
+    ("witt5", 5, 1, False, 0),
     ("witt5", 5, None, True, 1),
     ("wittext5", 5, None, True, 1),
 ])
@@ -756,10 +828,11 @@ def test_classify_multiplies_matrices_only_when_y_is_not_extremal(
         name, p, seed, assume_simple, products, monkeypatch):
     # An extremal y settles quadraticity, so the regular branch makes no
     # matrix product; on the Witt branch y is not extremal and
-    # quadraticity_check multiplies the quotient action by itself once.
-    # The witt5 classify jobs, certified and assumed, are then the only
-    # callers of Matrix.mul in both benchmark workloads, whose traced run
-    # requires that it be called.
+    # quadraticity_check multiplies the quotient action by itself once.  A
+    # certified witt5 run reads W(1;1) off the checked table and makes none.
+    # The assumed witt5 classify jobs are then the only callers of
+    # Matrix.mul in both benchmark workloads, whose traced run requires that
+    # it be called.
     from lieext.algebra import _sl
 
     if name.startswith("witt"):

@@ -5,6 +5,7 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieext import builtin, classify_theorem_main, run_script, scan_basis, to_json
 from lieext import algebra, cli
@@ -516,3 +517,26 @@ def test_help_text_matches_a_fresh_parser(capsys):
     code, out, err = invoke(capsys, "-h")
     assert code == 0 and err == ""
     assert out == cli._parser.__wrapped__().format_help()
+
+
+# -- the report writer ------------------------------------------------------------------
+
+_LEAVES = st.none() | st.booleans() | st.integers() | st.text()
+_DOCUMENTS = st.recursive(
+    _LEAVES, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_DOCUMENTS)
+def test_report_writer_matches_json_dumps(doc):
+    # nested and empty containers, non-ASCII and escaped strings, int, bool and None
+    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": [1, 2.5]}, {1: "a"}, {"a": (1, 2)}, [{"b": {None: 1}}], {"a": [["x"], [float("inf")]]},
+])
+def test_report_writer_falls_back_to_json_dumps(doc):
+    # a float, a tuple or a key that is not a str leaves the whole document to json.dumps
+    assert cli._dumps(doc) == json.dumps(doc, indent=2)

@@ -232,7 +232,10 @@ def test_certified_classify_fails_as_certifying_first_does(tmp_path, capsys, mon
     """Where the Witt isomorphism may certify simplicity, classify runs the
     certify step after the sl2 stage, and before anything else that can fail.
     Every exit code and error message is the one certifying first gives, and
-    a report differs from it only in how simplicity was shown."""
+    a report differs from it only in how simplicity was shown.  The W(1;1)
+    reading that comes first changes nothing: forced to give no report, with
+    or without --assume-simple, every case ends in the same exit code,
+    stdout and stderr."""
     from lieext import cli
 
     seen = Counter()
@@ -240,6 +243,14 @@ def test_certified_classify_fails_as_certifying_first_does(tmp_path, capsys, mon
         path = tmp_path / "case.json"
         path.write_text(to_json(l))
         argv = ["classify", str(path), "--x", ",".join(map(l.field.format, x))]
+        for args in (argv, argv + ["--assume-simple"]):
+            # the W(1;1) reading on or forced off: the same bytes and exit code
+            outcomes = []
+            for reading in (classify._read_witt, lambda *_: None):
+                with monkeypatch.context() as m:
+                    m.setattr(classify, "_read_witt", reading)
+                    outcomes.append((run(args), *capsys.readouterr()))
+            assert outcomes[0] == outcomes[1], (label, args)
         code = run(argv)
         out, err = capsys.readouterr()
         with monkeypatch.context() as m:

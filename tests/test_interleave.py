@@ -96,6 +96,21 @@ def test_distinct_jobs_sum_the_weights_of_repeats_and_filter_by_kind(interleave)
     assert len(interleave.distinct_jobs(jobs)) == 3
 
 
+def test_distinct_jobs_filter_by_label_substring(interleave):
+    jobs = [
+        {"argv": ["classify", "a.json"], "kind": "classify", "label": "witt5/F5", "weight": 3},
+        {"argv": ["classify", "b.json"], "kind": "classify", "label": "witt5/F5/rebased",
+         "weight": 40},
+        {"argv": ["classify", "c.json"], "kind": "classify", "label": "sl4/F5", "weight": 14},
+        {"argv": ["check", "a.json"], "kind": "check", "label": "witt5/F5", "weight": 1},
+    ]
+    assert [j["label"] for j in interleave.distinct_jobs(jobs, label="witt5")] == [
+        "witt5/F5", "witt5/F5/rebased", "witt5/F5"]
+    assert interleave.distinct_jobs(jobs, "classify", "rebased") == [
+        {"argv": ["classify", "b.json"], "label": "witt5/F5/rebased", "weight": 40}]
+    assert interleave.distinct_jobs(jobs, "check", "sl4") == []
+
+
 def test_parent_package_loads_under_its_new_name(interleave, tmp_path, monkeypatch):
     pkg = tmp_path / "checkout" / "src" / "lieext"
     (pkg / "certs").mkdir(parents=True)

@@ -105,6 +105,40 @@ def test_rref_idempotent_and_canonical(rng):
         assert rref(Matrix(field, a.rows, a.cols, tuple(map(tuple, b))))[0] == ech
 
 
+def _kernel_from_rref(a):
+    """The null space as kernel built it from one forward elimination: the
+    padded rref, one vector per free column, and their span."""
+    f = a.field
+    ech, _, pivots = rref(a)
+    basis = []
+    for c in range(a.cols):
+        if c in pivots:
+            continue
+        v = [f.zero] * a.cols
+        v[c] = f.one
+        for r, pc in enumerate(pivots):
+            v[pc] = f.neg(ech.data[r][c])
+        basis.append(tuple(v))
+    return Subspace.span(f, a.cols, basis)
+
+
+@pytest.mark.parametrize("p", [2, 5, 7, 11, 0])
+def test_kernel_in_one_elimination_matches_the_rref_construction(p):
+    # kernel eliminates the rows with their columns reversed and reads the
+    # echelon basis off the free columns; same basis, pivots and scalar types
+    rng = random.Random(p)
+    f = Field(p)
+    for _ in range(300):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        density = rng.random()
+        data = tuple(tuple(f.random(rng) if rng.random() < density else f.zero
+                           for _ in range(cols)) for _ in range(rows))
+        a = Matrix(f, rows, cols, data)
+        got, want = kernel(a), _kernel_from_rref(a)
+        assert (got.basis, got.pivots) == (want.basis, want.pivots)
+        assert [type(c) for r in got.basis for c in r] == [type(c) for r in want.basis for c in r]
+
+
 def test_solve_identity_and_unsolvable(gf7, rng):
     eye = _identity(gf7, 3)
     b = rand_vec(gf7, 3, rng)

@@ -1,18 +1,20 @@
 """Parent and change timed job by job, alternating, in one process.
 
     python3 tools/interleave.py --parent OLD [--change NEW] --workload W --seed S \
-        [--kind K] [--rounds N]
+        [--kind K] [--label SUBSTRING] [--rounds N]
 
 Generates the inputs of perfbench workload W at seed S with the change's
 ``perfbench/gen.py``, drawn exactly as ``perfbench/run.py`` draws them, into
 a temporary directory outside both checkouts; ``--kind`` keeps only the jobs
-of one kind (check, classify, scan or cert).  The change's ``lieext``
-is imported from its ``src/``; the parent's package is copied into the
-temporary directory as ``lieext_parent`` and imported under that name, so
-both run in this one process.  Each distinct job runs once on each side
-untimed, which also compares their exit codes, stdout and stderr, and then
-N timed times on each side, the side that goes first alternating from job
-to job and from round to round, so a drift in host speed favours neither.
+of one kind (check, classify, scan or cert), and ``--label`` only those whose
+label contains SUBSTRING (``witt5`` keeps witt5/F5 and witt5/F5/rebased).
+The change's ``lieext`` is imported from its ``src/``; the parent's package
+is copied into the temporary directory as ``lieext_parent`` and imported
+under that name, so both run in this one process.  Each distinct job runs
+once on each side untimed, which also compares their exit codes, stdout and
+stderr, and then N timed times on each side, the side that goes first
+alternating from job to job and from round to round, so a drift in host
+speed favours neither.
 
 Prints, per job label, the min-median milliseconds of each side and the
 median of the change/parent ratios of its pairs; the p50 and p90 of the
@@ -94,11 +96,14 @@ def summarize(records):
     return lines
 
 
-def distinct_jobs(jobs, kind=None):
-    """One entry per distinct argv, with the weights of its repeats summed."""
+def distinct_jobs(jobs, kind=None, label=None):
+    """One entry per distinct argv, with the weights of its repeats summed,
+    of the jobs of ``kind`` whose label contains ``label``, where given."""
     merged = {}
     for job in jobs:
         if kind is not None and job["kind"] != kind:
+            continue
+        if label is not None and label not in job["label"]:
             continue
         key = tuple(job["argv"])
         if key in merged:
@@ -137,6 +142,8 @@ def main(argv=None):
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--kind", help="time only the jobs of this kind")
+    ap.add_argument("--label", metavar="SUBSTRING",
+                    help="time only the jobs whose label contains SUBSTRING")
     ap.add_argument("--rounds", type=int, default=5, help="timed runs of each job on each side")
     args = ap.parse_args(argv)
     change = os.path.abspath(args.change)
@@ -156,9 +163,10 @@ def main(argv=None):
             os.mkdir("inputs")
             jobs = distinct_jobs(job_digests.generate(
                 gen, run.ROUNDS, args.workload, args.seed, os.path.join(tmp, "inputs"), "inputs"),
-                args.kind)
+                args.kind, args.label)
             if not jobs:
-                ap.error(f"{args.workload} has no jobs of kind {args.kind!r}")
+                ap.error(f"{args.workload} has no jobs of kind {args.kind!r} "
+                         f"and label {args.label!r}")
             for job in jobs:
                 outputs = [job_digests.run_job(clis[side], job["argv"]) for side in SIDES]
                 job["same"] = outputs[0] == outputs[1]
@@ -170,7 +178,8 @@ def main(argv=None):
         finally:
             os.chdir(home)
     kind = f", {args.kind} jobs" if args.kind else ""
-    print(f"{args.workload} seed {args.seed}{kind}: {len(jobs)} distinct jobs, "
+    label = f", labels containing {args.label!r}" if args.label else ""
+    print(f"{args.workload} seed {args.seed}{kind}{label}: {len(jobs)} distinct jobs, "
           f"{args.rounds} timed runs of each on each side")
     for line in summarize(jobs):
         print(line)
