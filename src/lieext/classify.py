@@ -304,22 +304,6 @@ class ClassificationReport(NamedTuple):
         return doc
 
 
-def _certify_simple(l: LieAlgebra):
-    """(mode, detail) once meataxe_simple, or the enumeration where it gives
-    up, proves ``l`` simple; HypothesisError if it is not."""
-    try:
-        verdict = meataxe_simple(l)
-    except CapabilityError:
-        verdict = is_simple(l)
-    if not verdict.simple:
-        raise HypothesisError(f"the algebra is not simple ({verdict.detail})")
-    return "certified", verdict.detail
-
-
-WITT_CERTIFIED = ("the recognized basis satisfies the multiplication table of the "
-                  "simple Witt algebra W(1;1)")
-
-
 def _read_witt(l: LieAlgebra, x, status) -> "ClassificationReport | None":
     """The certified report of a 5-dimensional algebra over F5 read as
     W(1;1) right after the sl2 triple, or None when the reading fails or
@@ -350,7 +334,9 @@ def _read_witt(l: LieAlgebra, x, status) -> "ClassificationReport | None":
     components = {-2: line(x), -1: lm1, 0: line(h), 1: line(vy), 2: line(y)}
     return ClassificationReport(
         verdict=VERDICT_WITT, field_characteristic=f.p, dim=l.dim,
-        simplicity_mode="certified", simplicity_detail=WITT_CERTIFIED, x=x, witness=w,
+        simplicity_mode="certified", x=x, witness=w,
+        simplicity_detail="the recognized basis satisfies the multiplication table of the "
+                          "simple Witt algebra W(1;1)",
         triple=triple, grading=HGrading(components, False), quadratic_on_quotient=True,
         note="", iso=iso)
 
@@ -360,15 +346,9 @@ def classify_theorem_main(l: LieAlgebra, x, assume_simple: bool = False) -> Clas
 
     Simplicity is certified where decidable; over the rationals or large
     fields the caller must opt in with ``assume_simple``, which is recorded
-    in the report.  Only a 5-dimensional algebra over F5 can be W(1;1), and
-    there, when certifying, ``_read_witt`` first reads the algebra as W
-    right after the sl2 triple; a recognized basis of W certifies
-    simplicity by its isomorphism onto the simple witt5.  Where the reading
-    gives no report, the full pipeline runs, and the certify step waits for
-    ``witt_recognize`` there too.  Otherwise the step runs before anything
-    later can fail, and before an error from the stages it waited for is
-    re-raised, so every input keeps the first error that certifying first
-    gives.
+    in the report.  A certified run on a 5-dimensional algebra over F5, the
+    only kind that can be W(1;1), first tries ``_read_witt``, whose report
+    is certified by the recognized isomorphism onto the simple witt5.
     """
     require_good_characteristic(l)
     x = l.check_vector(x)
@@ -376,39 +356,32 @@ def classify_theorem_main(l: LieAlgebra, x, assume_simple: bool = False) -> Clas
 
     if assume_simple:
         simplicity = "assumed", "simplicity assumed by caller"
-    elif l.field.p == 5 and l.dim == 5:
-        report = _read_witt(l, x, status)
-        if report is not None:
-            return report
-        simplicity = None
     else:
-        simplicity = _certify_simple(l)
+        if l.field.p == 5 and l.dim == 5:
+            report = _read_witt(l, x, status)
+            if report is not None:
+                return report
+        try:
+            verdict = meataxe_simple(l)
+        except CapabilityError:
+            verdict = is_simple(l)
+        if not verdict.simple:
+            raise HypothesisError(f"the algebra is not simple ({verdict.detail})")
+        simplicity = "certified", verdict.detail
 
     iso = None
-    try:
-        w = find_witness(l, status.functional)
-        triple, _ = complete_sl2(l, status, w)
-        grading = h_grading(l, triple)
-        y_status = classify_element(l, triple.y)
-        # an extremal y has [y, [y, L]] in F*y by bilinearity alone, no Jacobi identity
-        quad = y_status.functional is not None or quadraticity_check(l, triple)
-        if not quad:
-            raise ContradictionError(
-                "the nilnegative member does not act quadratically modulo the triple")
-        outcome = dichotomy(l, triple, grading, y_status)
-        if outcome.branch == "exceptional":
-            iso = witt_recognize(l, triple, outcome.v)
-    except Exception:
-        if simplicity is None:
-            _certify_simple(l)      # its error, if any, comes first
-        raise
-    if simplicity is None:
-        if iso is not None and iso.target == "W" and iso.span_equals_algebra:
-            # the checked rows are L's table in the basis (x, y, h, v, [v,y]),
-            # so the basis map onto WITT_IMAGES is an isomorphism onto witt5
-            simplicity = "certified", WITT_CERTIFIED
-        else:
-            simplicity = _certify_simple(l)
+    w = find_witness(l, status.functional)
+    triple, _ = complete_sl2(l, status, w)
+    grading = h_grading(l, triple)
+    y_status = classify_element(l, triple.y)
+    # an extremal y has [y, [y, L]] in F*y by bilinearity alone, no Jacobi identity
+    quad = y_status.functional is not None or quadraticity_check(l, triple)
+    if not quad:
+        raise ContradictionError(
+            "the nilnegative member does not act quadratically modulo the triple")
+    outcome = dichotomy(l, triple, grading, y_status)
+    if outcome.branch == "exceptional":
+        iso = witt_recognize(l, triple, outcome.v)
 
     common = dict(
         field_characteristic=l.field.p,

@@ -64,10 +64,6 @@ def _load_algebra(path: str):
     return from_json(_decode(data)), hashlib.sha256(data).hexdigest()
 
 
-class _Unencodable(Exception):
-    pass
-
-
 _quote = json.encoder.encode_basestring_ascii
 _LEAVES = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
            type(None): {None: "null"}.__getitem__}
@@ -75,11 +71,13 @@ _LEAVES = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.
 
 def _indented(o, indent: str) -> str:
     """A dict or list as ``json.dumps(o, indent=2)`` writes it at the depth
-    whose newline and indentation are ``indent``; _Unencodable at any value
-    that is not a dict with str keys, a list, a str, an int, a bool or None."""
+    whose newline and indentation are ``indent``, through the C string
+    encoder, since the indented ``json.dumps`` runs the pure-Python encoder;
+    TypeError at any value that is not a dict with str keys, a list, a str,
+    an int, a bool or None."""
     t = type(o)
     if t is not dict and t is not list:
-        raise _Unencodable
+        raise TypeError(f"a report cannot hold a {t.__name__}")
     if not o:
         return "{}" if t is dict else "[]"
     inner = indent + "  "
@@ -91,30 +89,16 @@ def _indented(o, indent: str) -> str:
         return "[" + inner + ("," + inner).join(out) + indent + "]"
     for k, v in o.items():
         if type(k) is not str:
-            raise _Unencodable
+            raise TypeError(f"a report key cannot be a {type(k).__name__}")
         leaf = _LEAVES.get(type(v))
         out.append(_quote(k) + ": " + (leaf(v) if leaf is not None else _indented(v, inner)))
     return "{" + inner + ("," + inner).join(out) + indent + "}"
 
 
-def _dumps(doc) -> str:
-    """``json.dumps(doc, indent=2)``, byte for byte, written through the C
-    string encoder, since the indented ``json.dumps`` runs the pure-Python
-    encoder; ``json.dumps`` itself for a document holding anything but
-    dicts with str keys, lists, str, int, bool and None."""
-    leaf = _LEAVES.get(type(doc))
-    if leaf is not None:
-        return leaf(doc)
-    try:
-        return _indented(doc, "\n")
-    except _Unencodable:
-        return json.dumps(doc, indent=2)
-
-
 def _emit(doc: dict, digest: str) -> None:
     doc["tool_version"] = __version__
     doc["input_sha256"] = digest
-    sys.stdout.write(_dumps(doc) + "\n")
+    sys.stdout.write(_indented(doc, "\n") + "\n")
 
 
 @functools.cache

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,6 +10,7 @@ from lieext import (
     Field,
     HypothesisError,
     LieAlgebra,
+    LieextError,
     Subspace,
     builtin,
     classify_element,
@@ -27,7 +29,7 @@ from lieext import (
 from lieext import classify, linalg
 from lieext.algebra import from_json, to_json
 from lieext.classify import VERDICT_GENERATED, VERDICT_WITT, WITT_IMAGES, WITT_RULES
-from lieext.extremal import EXTREMAL
+from lieext.extremal import EXTREMAL, require_extremal
 from lieext.linalg import Matrix, solve, vec_combine, vec_is_zero, vec_scale
 
 from conftest import ad_chain, on_random_basis
@@ -479,6 +481,21 @@ def test_certified_classify_skips_the_meataxe_only_on_a_recognized_witt_basis(na
             "table of the simple Witt algebra W(1;1)") == (name == "witt5")
 
 
+def test_certified_classify_certifies_first_where_the_reading_refuses(monkeypatch):
+    # sl2 ⋉ V(1) over F5 is 5-dimensional but not simple: the reading refuses
+    # it, and the MeatAxe rejects it before the pipeline grades anything
+    from test_corrupt_tables import sl2_on_its_natural_module
+
+    l = sl2_on_its_natural_module()
+    seen = []
+    for name in ("meataxe_simple", "h_grading"):
+        fn = getattr(classify, name)
+        monkeypatch.setattr(classify, name, lambda *args, name=name, fn=fn: seen.append(name) or fn(*args))
+    with pytest.raises(HypothesisError, match=r"^the algebra is not simple \(proper ideal found\)$"):
+        classify_theorem_main(l, (1, 0, 0, 0, 0))
+    assert seen == ["meataxe_simple"]
+
+
 def test_certified_classify_falls_back_to_is_simple(monkeypatch):
     # with no kernel line budget meataxe_simple gives up, and the pipeline
     # certifies simplicity by enumeration instead, over sl2/F5's 31 lines
@@ -743,12 +760,18 @@ def witt5_extremal_cases(seed):
     return dense, [vec_combine(l.field, x, old_basis) for x in xs]
 
 
+WITT_DETAIL = "the recognized basis satisfies the multiplication table of the simple Witt algebra W(1;1)"
+MEATAXE_DETAIL = "kernel lines of a nullity-1 operator generate the module and its dual"
+
+
 @pytest.mark.parametrize("seed", [None, *range(1, 12)])
 @pytest.mark.parametrize("assume_simple", [False, True])
 def test_witt_reading_reports_what_the_pipeline_reports(seed, assume_simple, monkeypatch):
     """A certified run on witt5 is read as W(1;1) right after the triple;
-    with the reading forced to give nothing, the full pipeline runs, and
-    every report is the same, grading components included."""
+    with the reading forced to give nothing, the MeatAxe certifies
+    simplicity and the full pipeline runs.  Every report is the same,
+    grading components included, except that the certified detail then
+    names the MeatAxe; with --assume-simple the reading is not tried."""
     l, xs = witt5_extremal_cases(seed)
     read = classify._read_witt
     readings = []
@@ -759,9 +782,44 @@ def test_witt_reading_reports_what_the_pipeline_reports(seed, assume_simple, mon
     assert all(r is not None for r in readings)
     monkeypatch.setattr(classify, "_read_witt", lambda *args: None)
     want = [classify_theorem_main(l, x, assume_simple) for x in xs]
+    if not assume_simple:
+        assert {r.simplicity_detail for r in got} == {WITT_DETAIL}
+        assert {w.simplicity_detail for w in want} == {MEATAXE_DETAIL}
+        want = [w._replace(simplicity_detail=WITT_DETAIL) for w in want]
     assert got == want
     assert all(r.verdict == VERDICT_WITT and r.grading.components == w.grading.components
                for r, w in zip(got, want))
+
+
+def test_the_reading_gives_a_report_exactly_where_the_pipeline_spans_w():
+    """The premise that lets a certified run certify simplicity at once when
+    the reading gives nothing: on every 5-dimensional F5 case of
+    precedence_cases whose x is extremal, and on the 20 extremal x of witt5
+    on the standard basis and on 11 seeded ones, _read_witt returns a report
+    exactly when the pipeline with simplicity assumed returns one whose
+    isomorphism onto W spans the algebra."""
+    from test_corrupt_tables import precedence_cases
+
+    cases = [(l, x) for _, l, x in precedence_cases()]
+    for seed in (None, *range(1, 12)):
+        l, xs = witt5_extremal_cases(seed)
+        cases += [(l, x) for x in xs]
+    seen = Counter()
+    for l, x in cases:
+        try:
+            status = require_extremal(l, x)
+        except LieextError:
+            continue
+        read = classify._read_witt(l, x, status) is not None
+        try:
+            rep = classify_theorem_main(l, x, assume_simple=True)
+            spans_w = rep.iso is not None and rep.iso.target == "W" and rep.iso.span_equals_algebra
+        except LieextError:
+            rep, spans_w = None, False
+        assert read == spans_w
+        seen[read, rep is None] += 1
+    # readings, refusals the pipeline rejects and refusals it reports all occur
+    assert set(seen) == {(True, False), (False, True), (False, False)}, seen
 
 
 @pytest.mark.parametrize("seed", [None, 1])

@@ -522,21 +522,29 @@ def test_help_text_matches_a_fresh_parser(capsys):
 # -- the report writer ------------------------------------------------------------------
 
 _LEAVES = st.none() | st.booleans() | st.integers() | st.text()
-_DOCUMENTS = st.recursive(
-    _LEAVES, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
-    max_leaves=30)
+_CONTAINERS = lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4)
+_DOCUMENTS = _CONTAINERS(st.recursive(_LEAVES, _CONTAINERS, max_leaves=30))
 
 
 @settings(max_examples=400, deadline=None)
 @given(_DOCUMENTS)
 def test_report_writer_matches_json_dumps(doc):
     # nested and empty containers, non-ASCII and escaped strings, int, bool and None
-    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+    assert cli._indented(doc, "\n") == json.dumps(doc, indent=2)
 
 
 @pytest.mark.parametrize("doc", [
     {"a": [1, 2.5]}, {1: "a"}, {"a": (1, 2)}, [{"b": {None: 1}}], {"a": [["x"], [float("inf")]]},
 ])
 def test_report_writer_falls_back_to_json_dumps(doc):
-    # a float, a tuple or a key that is not a str leaves the whole document to json.dumps
-    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+    # no report holds a float, a tuple or a key that is not a str, so there is
+    # no json.dumps fallback: the writer raises TypeError, and the run exits 4
+    with pytest.raises(TypeError):
+        cli._indented(doc, "\n")
+
+
+def test_a_report_field_the_writer_refuses_is_an_internal_error(capsys, monkeypatch, witt5_file):
+    monkeypatch.setattr(cli, "__version__", 1.5)
+    code, out, err = invoke(capsys, "check", witt5_file)
+    assert (code, out) == (cli.EXIT_INTERNAL, "")
+    assert err == "internal error: TypeError: a report cannot hold a float\n"

@@ -184,9 +184,9 @@ def test_certificates_exponentiate_as_the_reference_does(monkeypatch):
 
 def certifying_first(l, x, assume_simple):
     """Certified classify_theorem_main with the certify step before the
-    pipeline, the order classify keeps for every input that cannot be
-    W(1;1): x's checks, then meataxe_simple or the enumeration where it gives
-    up, then the pipeline with simplicity assumed."""
+    pipeline and no W(1;1) reading: x's checks, then meataxe_simple or the
+    enumeration where it gives up, then the pipeline with simplicity
+    assumed."""
     assert not assume_simple
     require_good_characteristic(l)
     require_extremal(l, l.check_vector(x))
@@ -209,10 +209,10 @@ def sl2_on_its_natural_module():
 
 
 def precedence_cases():
-    """(label, algebra, x) over F5 in dimension 5, where the certify step
-    waits for witt_recognize: the perturbed witt5 tables of the tests above,
-    drawn from the same seed, witt5 on three random bases, and sl2 ⋉ V(1)
-    with perturbed copies of it."""
+    """(label, algebra, x) over F5 in dimension 5, where a certified run
+    tries the W(1;1) reading before the certify step: the perturbed witt5
+    tables of the tests above, drawn from the same seed, witt5 on three
+    random bases, and sl2 ⋉ V(1) with perturbed copies of it."""
     l = builtin("witt5", 5)
     x = designated(l, None)
     rng = random.Random("witt5/5")
@@ -229,13 +229,14 @@ def precedence_cases():
 
 
 def test_certified_classify_fails_as_certifying_first_does(tmp_path, capsys, monkeypatch):
-    """Where the Witt isomorphism may certify simplicity, classify runs the
-    certify step after the sl2 stage, and before anything else that can fail.
-    Every exit code and error message is the one certifying first gives, and
-    a report differs from it only in how simplicity was shown.  The W(1;1)
-    reading that comes first changes nothing: forced to give no report, with
-    or without --assume-simple, every case ends in the same exit code,
-    stdout and stderr."""
+    """Where the W(1;1) reading gives no report, classify certifies
+    simplicity before the pipeline, as on every other input.  Every exit
+    code and error message is the one certifying first gives, and a report
+    differs from it only in how simplicity was shown.  The reading changes
+    no outcome either: forced to give no report, a certified run ends in the
+    same exit code, stderr and report but for the simplicity detail, which
+    then names the MeatAxe, and an --assume-simple run, which never tries
+    the reading, in the same bytes."""
     from lieext import cli
 
     seen = Counter()
@@ -244,13 +245,24 @@ def test_certified_classify_fails_as_certifying_first_does(tmp_path, capsys, mon
         path.write_text(to_json(l))
         argv = ["classify", str(path), "--x", ",".join(map(l.field.format, x))]
         for args in (argv, argv + ["--assume-simple"]):
-            # the W(1;1) reading on or forced off: the same bytes and exit code
             outcomes = []
             for reading in (classify._read_witt, lambda *_: None):
                 with monkeypatch.context() as m:
                     m.setattr(classify, "_read_witt", reading)
                     outcomes.append((run(args), *capsys.readouterr()))
-            assert outcomes[0] == outcomes[1], (label, args)
+            (code, out, err), (off_code, off_out, off_err) = outcomes
+            assert (code, err) == (off_code, off_err), (label, args)
+            if out != off_out:
+                # only a certified report, and only in its simplicity detail
+                assert args is argv and code == EXIT_OK, label
+                doc, off = json.loads(out), json.loads(off_out)
+                assert doc["hypotheses"].pop("simplicity")["mode"] == "certified", label
+                assert off["hypotheses"].pop("simplicity") == {
+                    "mode": "certified",
+                    "detail": "kernel lines of a nullity-1 operator generate the module and its dual",
+                }, label
+                assert doc == off, label
+                seen["reading's detail"] += 1
         code = run(argv)
         out, err = capsys.readouterr()
         with monkeypatch.context() as m:
@@ -271,4 +283,4 @@ def test_certified_classify_fails_as_certifying_first_does(tmp_path, capsys, mon
             capsys.readouterr()
         else:
             seen["pipeline error"] += 1
-    assert len(seen) == 4, seen
+    assert len(seen) == 5 and seen["reading's detail"] == 3, seen
