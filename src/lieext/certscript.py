@@ -191,9 +191,13 @@ def run_script(text: str, characteristic=None) -> CertResult:
                     if c != field.one:
                         raise ParseError("span expectation must be a sum of bare words", line=no)
                 got = span_closure(algebra, rules, degree)
-                got_set = set(got)
-                missing = [w for w in expected.terms if w not in got_set]
                 extra = [w for w in got if w not in expected.terms]
+                # got holds distinct words, so it holds every expected one
+                # exactly when as many of its words are expected
+                missing = []
+                if len(got) - len(extra) < len(expected.terms):
+                    got_set = set(got)
+                    missing = [w for w in expected.terms if w not in got_set]
                 ok = not missing and not extra
                 residual = "" if ok else (
                     f"missing: {_format_words(missing)}; extra: {_format_words(extra)}")

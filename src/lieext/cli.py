@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import sys
 
@@ -45,6 +44,23 @@ EXIT_CONTRADICTION = 3
 EXIT_INTERNAL = 4
 
 
+def _builtin_sha256():
+    """The interpreter's own SHA-256 type: ``_sha2`` from CPython 3.12 on,
+    ``_sha256`` before.  ``hashlib`` loads OpenSSL's libcrypto, several MB
+    of memory for one digest per run, so it serves only builds without the
+    builtin modules.  Imported by name, as each exists on some versions only."""
+    for name in ("_sha2", "_sha256"):
+        try:
+            return __import__(name).sha256
+        except ImportError:
+            pass
+    from hashlib import sha256
+    return sha256
+
+
+_sha256 = _builtin_sha256()
+
+
 def _read_input(path: str) -> bytes:
     if path == "-":
         return sys.stdin.buffer.read()
@@ -61,7 +77,7 @@ def _decode(data: bytes) -> str:
 
 def _load_algebra(path: str):
     data = _read_input(path)
-    return from_json(_decode(data)), hashlib.sha256(data).hexdigest()
+    return from_json(_decode(data)), _sha256(data).hexdigest()
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -300,7 +316,7 @@ def _cmd_cert(args) -> int:
     result = run_script(_decode(data), characteristic=args.p)
     doc = {"command": "cert", "script": path}
     doc.update(result.to_dict())
-    _emit(doc, hashlib.sha256(data).hexdigest())
+    _emit(doc, _sha256(data).hexdigest())
     return EXIT_OK if result.passed else EXIT_PROPERTY
 
 

@@ -1,8 +1,10 @@
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lieext import CapabilityError, ParseError, run_script
+from lieext import CapabilityError, Field, FreeAlgebra, ParseError, RewriteRule, run_script
+from lieext.freepoly import _format_word, span_closure
 from lieext.certscript import EXCERPT_LIMIT
 
 SHIPPED = ("lemma22.cert", "prop32.cert", "thm23_span.cert")
@@ -192,3 +194,34 @@ def test_span_residual_order():
     assert not a.ok
     assert a.value == "1 X Y X*Y Y*X"
     assert a.residual == "missing: Y^2*X X^2; extra: Y X*Y"
+
+
+_SPAN_RULES = ("X^2 -> 0", "Y*X*Y -> Y")
+_SPAN_CANDIDATES = _alternating_words("XY", 3) + [("X", "X"), ("Y", "Y"), ("Y", "X", "Y")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_SPAN_CANDIDATES), unique=True), st.integers(0, 3))
+def test_span_residual_matches_set_difference(words, degree):
+    """Every span assertion reports what comparing the word sets gives: ok
+    exactly when they are equal, else the missing words in expectation order
+    and the extra ones in span order.  The candidates hold irreducible words
+    of degrees 0 to 3 and three reducible ones, so an expectation can miss,
+    add or swap words at equal count."""
+    algebra = FreeAlgebra(Field(0), ("X", "Y"))
+    text = " + ".join("*".join(w) or "1" for w in words) or "0"
+    expected = algebra.parse(text).terms
+    rules = []
+    for rule in _SPAN_RULES:
+        lhs, rhs = (algebra.parse(side) for side in rule.split(" -> "))
+        (word,) = lhs.terms
+        rules.append(RewriteRule(algebra, word, rhs))
+    got = span_closure(algebra, rules, degree)
+    missing = [w for w in expected if w not in set(got)]
+    extra = [w for w in got if w not in expected]
+    script = "\n".join(["symbols X Y"] + [f"rule {r}" for r in _SPAN_RULES]
+                       + [f"assert span({degree}) == {text}"])
+    (a,) = run_script(script).assertions
+    assert a.ok == (not missing and not extra)
+    fmt = lambda ws: " ".join(_format_word(w) or "1" for w in ws)  # noqa: E731
+    assert a.residual == ("" if a.ok else f"missing: {fmt(missing)}; extra: {fmt(extra)}")

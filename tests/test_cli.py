@@ -377,15 +377,54 @@ def test_usage_without_command(capsys):
     assert run([]) == 2
 
 
-def test_reports_carry_version_and_hash(capsys, witt5_file):
+def test_reports_carry_version_and_hash(capsys, monkeypatch, tmp_path, witt5_file):
+    """``input_sha256`` is ``hashlib``'s SHA-256 of the bytes read: from a
+    file, from standard input, on a dense table of a few hundred KB, and for
+    a certificate shipped with lieext."""
     import hashlib
+    import io
+    from importlib import resources
 
-    _, doc = out_json(capsys, "check", witt5_file)
+    from lieext import Field, __version__
+
     payload = pathlib.Path(witt5_file).read_bytes()
+    _, doc = out_json(capsys, "check", witt5_file)
     assert doc["input_sha256"] == hashlib.sha256(payload).hexdigest()
-    from lieext import __version__
-
     assert doc["tool_version"] == __version__
+
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(payload)))
+    _, doc = out_json(capsys, "check", "-")
+    assert doc["input_sha256"] == hashlib.sha256(payload).hexdigest()
+
+    dense = tmp_path / "dense_sl5.json"
+    dense.write_text(to_json(on_random_basis(algebra._sl(Field(5), 5), random.Random(1))[0]))
+    assert dense.stat().st_size > 200_000
+    _, doc = out_json(capsys, "check", str(dense))
+    assert doc["valid"] is True
+    assert doc["input_sha256"] == hashlib.sha256(dense.read_bytes()).hexdigest()
+
+    shipped = resources.files("lieext").joinpath("certs", "lemma22.cert").read_bytes()
+    _, doc = out_json(capsys, "cert", "lemma22.cert")
+    assert doc["input_sha256"] == hashlib.sha256(shipped).hexdigest()
+
+
+def test_input_hash_falls_back_to_hashlib(witt5_file):
+    """Where the interpreter has no builtin SHA-256 module, the CLI hashes
+    with ``hashlib`` and prints the same digest."""
+    import hashlib
+    import os
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).parent.parent / "src"
+    code = ("import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+            "import hashlib, lieext.cli as cli; assert cli._sha256 is hashlib.sha256; "
+            "sys.exit(cli.run(['check', sys.argv[1]]))")
+    out = subprocess.run([sys.executable, "-c", code, witt5_file], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 0, out.stderr
+    payload = pathlib.Path(witt5_file).read_bytes()
+    assert json.loads(out.stdout)["input_sha256"] == hashlib.sha256(payload).hexdigest()
 
 
 # -- bounded work at the input boundary --------------------------------------------
